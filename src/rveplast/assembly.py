@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .lattice import D, EDGE_COEFF, K, PeriodicLattice, ps_map
 from .randfield import Realization
@@ -178,16 +179,28 @@ class OperatorBlocks:
         A = [[diag(d), C.T],
              [C,       Q  ]]
 
-    ``Q`` is further split into its lower triangle (with the diagonal) and
-    its strictly upper triangle, the two halves of a Gauss-Seidel sweep.
+    Everything here is fixed for the life of A and computed once, in
+    ``split``:
+
+    - the strictly upper triangle of Q and the LU factor of its lower
+      triangle (with the diagonal), the two halves of a Gauss-Seidel sweep.
+      The factor is taken in the natural order without pivoting, so it is
+      the triangle itself (no permutation, no fill) and ``solve`` is one
+      forward substitution;
+    - the CSC pattern of every Schur complement S(w) = Q - C diag(w) C.T,
+      the values of Q on it and the sparse map M with S(w).data = q - M w.
+      Each plastic DOF touches at most four displacement DOFs, so M has at
+      most 16 entries per column.
     """
 
     diag: np.ndarray  # d, shape (n,)
     coupling: sp.csr_matrix  # C = A[n:, :n]
     coupling_t: sp.csr_matrix  # C.T = A[:n, n:]
-    disp: sp.csr_matrix  # Q = A[n:, n:]
-    disp_lower: sp.csc_matrix  # tril(Q)
     disp_upper: sp.csr_matrix  # triu(Q, 1)
+    disp_lower_lu: spla.SuperLU  # tril(Q), factored
+    schur_pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (indices, indptr)
+    schur_q: np.ndarray = field(repr=False)  # Q on the pattern
+    schur_map: sp.csr_matrix = field(repr=False)  # M, one row per pattern entry
     # "last": the solver's last factor of a Schur complement on Q, paired
     # with the set of plastic DOFs it eliminated
     schur_factor: dict = field(default_factory=dict, repr=False)
@@ -200,14 +213,62 @@ class OperatorBlocks:
         if plastic.count_nonzero() != np.count_nonzero(diag):
             raise ValueError("the plastic block of the operator must be diagonal")
         disp = A[n:, n:]
+        coupling_t = A[:n, n:]
+        m = disp.shape[0]
+
+        # pad the rows of C.T (the displacement DOFs of each plastic DOF)
+        coupling_t.sort_indices()
+        counts = np.diff(coupling_t.indptr)
+        slot = np.arange(coupling_t.nnz) - np.repeat(coupling_t.indptr[:-1], counts)
+        rows = np.repeat(np.arange(n), counts)
+        cols = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
+        vals = np.zeros(cols.shape)
+        cols[rows, slot] = coupling_t.indices
+        vals[rows, slot] = coupling_t.data
+        # every (i, j, e) with C_ie C_je != 0: the entries of C diag(w) C.T
+        shape = (n, cols.shape[1], cols.shape[1])
+        pair_i = np.broadcast_to(cols[:, :, None], shape)
+        pair_j = np.broadcast_to(cols[:, None, :], shape)
+        keep = (pair_i >= 0) & (pair_j >= 0)
+        pair_i, pair_j = pair_i[keep], pair_j[keep]
+        pair_e = np.broadcast_to(np.arange(n)[:, None, None], shape)[keep]
+        pair_v = (vals[:, :, None] * vals[:, None, :])[keep]
+
+        # CSC pattern of S: Q's pattern joined with C C.T's.  The column-major
+        # keys of a CSC matrix with sorted indices ascend, which locates an
+        # entry (i, j) by binary search.
+        disp_csc = disp.tocsc()
+        pattern = sp.csc_matrix((np.ones(pair_i.size), (pair_i, pair_j)), shape=(m, m))
+        pattern = pattern + abs(disp_csc)
+        disp_csc.sort_indices()
+        pattern.sort_indices()
+
+        def keys_of(mat):
+            return np.repeat(np.arange(m), np.diff(mat.indptr)) * m + mat.indices
+
+        keys = keys_of(pattern)
+        q = np.zeros(keys.size)
+        q[np.searchsorted(keys, keys_of(disp_csc))] = disp_csc.data
+        entry = np.searchsorted(keys, pair_j * m + pair_i)
+        schur_map = sp.csr_matrix((pair_v, (entry, pair_e)), shape=(keys.size, n))
         return cls(
             diag=diag,
             coupling=A[n:, :n],
-            coupling_t=A[:n, n:],
-            disp=disp,
-            disp_lower=sp.tril(disp, format="csc"),
+            coupling_t=coupling_t,
             disp_upper=sp.triu(disp, k=1, format="csr"),
+            disp_lower_lu=spla.splu(
+                sp.tril(disp, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0
+            ),
+            schur_pattern=(pattern.indices, pattern.indptr),
+            schur_q=q,
+            schur_map=schur_map,
         )
+
+    def schur(self, w: np.ndarray) -> sp.csc_matrix:
+        """S = Q - C diag(w) C.T, on the fixed pattern."""
+        m = self.schur_pattern[1].size - 1
+        data = self.schur_q - self.schur_map @ w
+        return sp.csc_matrix((data, *self.schur_pattern), shape=(m, m))
 
 
 @dataclass(frozen=True)

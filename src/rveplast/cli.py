@@ -95,15 +95,24 @@ class RunConfig:
     def effective_threads(self) -> int:
         if self.threads > 0:
             return self.threads
-        env = os.environ.get(THREADS_ENV, "")
-        return int(env) if env.strip() else 1
+        env = os.environ.get(THREADS_ENV, "").strip()
+        if not env:
+            return 1
+        if not env.isdigit() or int(env) < 1:
+            raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+        return int(env)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for key in ("L", "L_max", "M", "N", "max_outer"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        self.effective_threads()  # validates the environment value
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.L_list is not None:

@@ -22,7 +22,7 @@ from .assembly import (
     assemble_load,
     assemble_operator,
 )
-from .lattice import D, K, SymTensor2, edge_strains, ps_adjoint, ps_map
+from .lattice import D, K, PeriodicLattice, SymTensor2, edge_strains, ps_adjoint, ps_map
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
 
@@ -107,9 +107,8 @@ def stress_vector(real: Realization, state: RveState, F, L: int | None = None) -
     if L is not None and L != real.L:
         raise ValueError(f"L={L} does not match the realization's L={real.L}")
     L = real.L
-    dofmap = DofMap(L)
     fhat = ps_map(F)
-    g = edge_strains(state.phi, dofmap.lattice)
+    g = edge_strains(state.phi, PeriodicLattice(L))
     p = state.p.reshape(K, L**2)
     a = real.by_type("a")
     return (a * (fhat[:, None] + g - p)).sum(axis=1) * float(L) ** (-D)

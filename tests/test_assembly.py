@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from rveplast.assembly import (
     DofMap,
     IncrementProblem,
+    OperatorBlocks,
     RveState,
     assemble_load,
     assemble_operator,
@@ -191,6 +192,58 @@ class TestLoad:
             y = dm.pack(state)
             smooth = 0.5 * y @ (A @ y) - f @ y
             assert smooth + const == pytest.approx(stored_energy(real, F, state), rel=1e-10)
+
+
+def split_blocks(L, seed=13):
+    real = sample(LAW, seed, 1, L)
+    dm = DofMap(L)
+    A = assemble_operator(real, dofmap=dm)
+    return A, dm.n, OperatorBlocks.split(A, dm.n)
+
+
+class TestOperatorBlocks:
+    @pytest.mark.parametrize("L", [3, 6])
+    def test_triangle_factor_is_the_triangle(self, L):
+        # natural order, no pivoting: no permutation and no fill, so the
+        # solve is one forward substitution
+        A, n, blocks = split_blocks(L)
+        lower = sp.tril(A[n:, n:])
+        lu = blocks.disp_lower_lu
+        m = lower.shape[0]
+        assert np.array_equal(lu.perm_r, np.arange(m))
+        assert np.array_equal(lu.perm_c, np.arange(m))
+        assert lu.L.nnz + lu.U.nnz == lower.nnz + m
+
+    @pytest.mark.parametrize("L", [3, 6])
+    def test_triangle_solve_matches_triangular_solve(self, L):
+        A, n, blocks = split_blocks(L)
+        b = np.random.default_rng(L).normal(size=A.shape[0] - n)
+        expected = spla.spsolve_triangular(sp.tril(A[n:, n:], format="csr"), b, lower=True)
+        x = blocks.disp_lower_lu.solve(b)
+        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    @pytest.mark.parametrize("active", ["empty", "full", "random"])
+    def test_schur_matches_dense(self, L, active):
+        A, n, blocks = split_blocks(L)
+        mask = {
+            "empty": np.zeros(n, dtype=bool),
+            "full": np.ones(n, dtype=bool),
+            "random": np.random.default_rng(L).random(n) < 0.5,
+        }[active]
+        w = np.where(mask, 1.0 / blocks.diag, 0.0)
+        dense = A.toarray()
+        Q, C = dense[n:, n:], dense[n:, :n]
+        expected = Q - C @ np.diag(w) @ C.T
+        S = blocks.schur(w)
+        assert S.shape == Q.shape
+        scale = np.abs(expected).max(initial=0.0)
+        assert np.abs(S.toarray() - expected).max(initial=0.0) <= 1e-13 * scale
+
+    def test_schur_map_has_at_most_16_entries_per_plastic_dof(self):
+        _, n, blocks = split_blocks(6)
+        per_dof = np.diff(blocks.schur_map.tocsc().indptr)
+        assert per_dof.size == n and per_dof.max() == 16
 
 
 class TestIncrementEnergy:

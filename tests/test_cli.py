@@ -150,6 +150,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert "sample 1" in err and "step" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cyclic", "--seed", "-1"],
+            ["cyclic", "--seed", str(2**64)],
+            ["cyclic", "--L", "1"],
+            ["error-study", "--Lmax", "1"],
+            ["cyclic", "--threads", "-3"],
+        ],
+    )
+    def test_bad_flags_exit_code(self, args, tmp_path, capsys):
+        assert main(args + ["--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self):
+        assert parse_config(["cyclic", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_environment_exit_code(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RVE_PLAST_THREADS", value)
+        assert main(["cyclic", "--L", "3", "--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
+        assert "RVE_PLAST_THREADS" in capsys.readouterr().err
+
     def test_successful_run(self, tmp_path, capsys):
         code = main(["cyclic", "--L", "3", "--M", "1", "--N", "3", "--out", str(tmp_path)])
         assert code == 0
