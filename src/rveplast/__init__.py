@@ -44,11 +44,8 @@ from .solver import (
     SolveReport,
     SolverError,
     SolverSettings,
-    gauss_seidel_sweep,
     optimality_residual,
-    scalar_prox,
     solve_increment,
-    truncated_newton_correction,
 )
 from .stats import (
     ErrorTable,

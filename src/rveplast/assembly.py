@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import D, EDGE_COEFF, K, PeriodicLattice, ps_map
 from .randfield import Realization
@@ -179,30 +178,23 @@ class OperatorBlocks:
         A = [[diag(d), C.T],
              [C,       Q  ]]
 
-    Everything here is fixed for the life of A and computed once, in
-    ``split``:
-
-    - the strictly upper triangle of Q and the LU factor of its lower
-      triangle (with the diagonal), the two halves of a Gauss-Seidel sweep.
-      The factor is taken in the natural order without pivoting, so it is
-      the triangle itself (no permutation, no fill) and ``solve`` is one
-      forward substitution;
-    - the CSC pattern of every Schur complement S(w) = Q - C diag(w) C.T,
-      the values of Q on it and the sparse map M with S(w).data = q - M w.
-      Each plastic DOF touches at most four displacement DOFs, so M has at
-      most 16 entries per column.
+    At fixed displacements the plastic DOFs therefore minimize one by one
+    (the solver's return map, which reads d and C.T), and eliminating the
+    flowing ones leaves the Schur complement S(w) = Q - C diag(w) C.T on the
+    displacements, with w = 1/d on the flowing DOFs and 0 elsewhere.  Its
+    CSC pattern, the values of Q on it and the sparse map M with
+    S(w).data = q - M w are fixed for the life of A and computed once, in
+    ``split``.  Each plastic DOF touches at most four displacement DOFs, so M
+    has at most 16 entries per column.
     """
 
     diag: np.ndarray  # d, shape (n,)
-    coupling: sp.csr_matrix  # C = A[n:, :n]
     coupling_t: sp.csr_matrix  # C.T = A[:n, n:]
-    disp_upper: sp.csr_matrix  # triu(Q, 1)
-    disp_lower_lu: spla.SuperLU  # tril(Q), factored
     schur_pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (indices, indptr)
     schur_q: np.ndarray = field(repr=False)  # Q on the pattern
     schur_map: sp.csr_matrix = field(repr=False)  # M, one row per pattern entry
-    # "last": the solver's last factor of a Schur complement on Q, paired
-    # with the set of plastic DOFs it eliminated
+    # "last": the solver's last factor of a Schur complement, paired with
+    # the set of flowing plastic DOFs it eliminated
     schur_factor: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -212,7 +204,7 @@ class OperatorBlocks:
         diag = plastic.diagonal()
         if plastic.count_nonzero() != np.count_nonzero(diag):
             raise ValueError("the plastic block of the operator must be diagonal")
-        disp = A[n:, n:]
+        disp = A[n:, n:].tocsc()
         coupling_t = A[:n, n:]
         m = disp.shape[0]
 
@@ -237,10 +229,9 @@ class OperatorBlocks:
         # CSC pattern of S: Q's pattern joined with C C.T's.  The column-major
         # keys of a CSC matrix with sorted indices ascend, which locates an
         # entry (i, j) by binary search.
-        disp_csc = disp.tocsc()
         pattern = sp.csc_matrix((np.ones(pair_i.size), (pair_i, pair_j)), shape=(m, m))
-        pattern = pattern + abs(disp_csc)
-        disp_csc.sort_indices()
+        pattern = pattern + abs(disp)
+        disp.sort_indices()
         pattern.sort_indices()
 
         def keys_of(mat):
@@ -248,17 +239,12 @@ class OperatorBlocks:
 
         keys = keys_of(pattern)
         q = np.zeros(keys.size)
-        q[np.searchsorted(keys, keys_of(disp_csc))] = disp_csc.data
+        q[np.searchsorted(keys, keys_of(disp))] = disp.data
         entry = np.searchsorted(keys, pair_j * m + pair_i)
         schur_map = sp.csr_matrix((pair_v, (entry, pair_e)), shape=(keys.size, n))
         return cls(
             diag=diag,
-            coupling=A[n:, :n],
             coupling_t=coupling_t,
-            disp_upper=sp.triu(disp, k=1, format="csr"),
-            disp_lower_lu=spla.splu(
-                sp.tril(disp, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0
-            ),
             schur_pattern=(pattern.indices, pattern.indptr),
             schur_q=q,
             schur_map=schur_map,

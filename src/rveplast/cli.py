@@ -14,8 +14,10 @@ import csv
 import json
 import os
 import sys
+import types
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -103,6 +105,11 @@ class RunConfig:
         return int(env)
 
     def validate(self) -> None:
+        for name, hint in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                kind = getattr(hint, "__name__", hint)
+                raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1)):
@@ -123,6 +130,17 @@ class RunConfig:
         self.solver_settings()
         if self.experiment == "custom-path" and not self.path:
             raise ConfigError("custom-path needs 'path' rows [t, F11, F12, F22] in the config")
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value fits its field's type; an int fits a float field, a bool no number."""
+    if get_origin(hint) is types.UnionType:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def _config_keys() -> set[str]:

@@ -98,14 +98,12 @@ class PathError(RuntimeError):
         self.cause = cause
 
 
-def stress_vector(real: Realization, state: RveState, F, L: int | None = None) -> np.ndarray:
+def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.
 
     s_alpha = L^-2 sum over type-alpha edges of
     a_e ((ps_map F)_alpha + g_e(phi) - p_e).
     """
-    if L is not None and L != real.L:
-        raise ValueError(f"L={L} does not match the realization's L={real.L}")
     L = real.L
     fhat = ps_map(F)
     g = edge_strains(state.phi, PeriodicLattice(L))
@@ -132,7 +130,6 @@ def regime(fraction: float) -> str:
 def run_path(
     real: Realization,
     path: StrainPath,
-    L: int | None = None,
     settings: SolverSettings | None = None,
     reports: list[SolveReport] | None = None,
 ) -> list[tuple[RveState, StressRecord]]:
@@ -142,8 +139,6 @@ def run_path(
     zero state at t=0.  Pass a list as ``reports`` to collect the solver
     report of every increment.
     """
-    if L is not None and L != real.L:
-        raise ValueError(f"L={L} does not match the realization's L={real.L}")
     L = real.L
     dofmap = DofMap(L)
     A = assemble_operator(real, dofmap=dofmap)

@@ -61,12 +61,6 @@ class SymTensor2:
     def zero(cls) -> "SymTensor2":
         return cls(0.0, 0.0, 0.0)
 
-    @classmethod
-    def from_matrix(cls, mat) -> "SymTensor2":
-        m = np.asarray(mat, dtype=float)
-        sym = 0.5 * (m + m.T)
-        return cls(sym[0, 0], sym[0, 1], sym[1, 1])
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
@@ -107,9 +101,6 @@ class PeriodicLattice:
 
     def edge_tail_alpha(self, edge: int) -> tuple[int, int]:
         return edge % self.num_nodes, edge // self.num_nodes
-
-    def head(self, node: int, alpha: int) -> int:
-        return int(self.heads[alpha, node])
 
 
 def wrap_node(xy, L: int) -> int:

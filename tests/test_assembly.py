@@ -202,26 +202,6 @@ def split_blocks(L, seed=13):
 
 
 class TestOperatorBlocks:
-    @pytest.mark.parametrize("L", [3, 6])
-    def test_triangle_factor_is_the_triangle(self, L):
-        # natural order, no pivoting: no permutation and no fill, so the
-        # solve is one forward substitution
-        A, n, blocks = split_blocks(L)
-        lower = sp.tril(A[n:, n:])
-        lu = blocks.disp_lower_lu
-        m = lower.shape[0]
-        assert np.array_equal(lu.perm_r, np.arange(m))
-        assert np.array_equal(lu.perm_c, np.arange(m))
-        assert lu.L.nnz + lu.U.nnz == lower.nnz + m
-
-    @pytest.mark.parametrize("L", [3, 6])
-    def test_triangle_solve_matches_triangular_solve(self, L):
-        A, n, blocks = split_blocks(L)
-        b = np.random.default_rng(L).normal(size=A.shape[0] - n)
-        expected = spla.spsolve_triangular(sp.tril(A[n:, n:], format="csr"), b, lower=True)
-        x = blocks.disp_lower_lu.solve(b)
-        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
-
     @pytest.mark.parametrize("L", [2, 3, 6])
     @pytest.mark.parametrize("active", ["empty", "full", "random"])
     def test_schur_matches_dense(self, L, active):

@@ -164,6 +164,31 @@ class TestMain:
         assert main(args + ["--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"seed": "abc"},
+            {"L": 3.5},
+            {"M": True},
+            {"T": "1"},
+            {"L_list": 6},
+            {"L_list": [6, 10.0]},
+            {"path": [[0.0, 0.0, 0.0, "x"]]},
+        ],
+    )
+    def test_bad_config_value_type_exit_code(self, values, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        path = [[0.0, 0.0, 0.0, 0.0], [1.0, 1e-3, 0.0, 0.0]]
+        cfg.write_text(json.dumps({"path": path, **values}))
+        assert main(["custom-path", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and next(iter(values)) in err
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"T": 2, "path": [[0, 0, 0, 0], [1, 0.001, 0, 0]]}))
+        assert parse_config(["custom-path", "--config", str(cfg)]).T == 2
+
     def test_largest_seed_accepted(self):
         assert parse_config(["cyclic", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
 

@@ -70,11 +70,6 @@ class TestStressVector:
         s = stress_vector(real, RveState.zero(5), SymTensor2(gamma, 0.0, 0.0))
         assert np.allclose(s, [a0 * gamma, 0.0, a0 * gamma / 2], rtol=1e-14)
 
-    def test_length_mismatch_rejected(self):
-        real = sample(LAW, 1, 1, 4)
-        with pytest.raises(ValueError):
-            stress_vector(real, RveState.zero(4), SymTensor2.zero(), L=5)
-
     def test_cyclic_magnitude_order_of_kilo(self):
         real = sample(LAW, 9, 1, 4)
         records = run_path(real, cyclic_path())

@@ -61,7 +61,7 @@ class TestIndexing:
             x, y = lat.node_xy(node)
             for alpha, et in enumerate(EDGE_TYPES):
                 ex, ey = et.direction
-                assert lat.head(node, alpha) == wrap_node((x + ex, y + ey), L)
+                assert lat.heads[alpha, node] == wrap_node((x + ex, y + ey), L)
 
 
 class TestProjectedEdgeDerivative:

@@ -1,10 +1,9 @@
-"""Scalar prox, Gauss-Seidel sweep, Newton correction, increment solve."""
+"""Return map, Newton steps and the increment solve."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, strategies as st
 
 from rveplast.assembly import (
     IncrementProblem,
@@ -12,55 +11,18 @@ from rveplast.assembly import (
     build_increment,
     increment_energy,
 )
-from rveplast.lattice import SymTensor2
+from rveplast.lattice import SymTensor2, edge_strains, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.reference import brute_force_increment, return_map, SpringParams
 from rveplast.solver import (
     SolverError,
     SolverSettings,
-    gauss_seidel_sweep,
+    _return_map,
     optimality_residual,
-    scalar_prox,
     solve_increment,
-    truncated_newton_correction,
 )
 
 LAW = MaterialLaw()
-
-
-def prox_objective(x, c2, c1, w, anchor):
-    return 0.5 * c2 * x**2 + c1 * x + w * abs(x - anchor)
-
-
-class TestScalarProx:
-    def test_smooth_case(self):
-        assert scalar_prox(3.0, -6.0, 0.0, 1.0) == pytest.approx(2.0)
-
-    def test_stuck_at_kink(self):
-        assert scalar_prox(3.0, -6.0, 10.0, 0.0) == 0.0  # |c1| = 6 <= 10
-
-    def test_sliding(self):
-        assert scalar_prox(3.0, -6.0, 1.0, 0.0) == pytest.approx(5.0 / 3.0)
-
-    def test_anchor_returned_bitwise(self):
-        anchor = 0.1 + 0.2  # not exactly representable as 0.3
-        assert scalar_prox(1.0, -anchor, 1.0, anchor) is anchor
-
-    def test_rejects_nonpositive_curvature(self):
-        with pytest.raises(ValueError):
-            scalar_prox(0.0, 1.0, 1.0, 0.0)
-
-    @given(
-        c2=st.floats(0.1, 10.0),
-        c1=st.floats(-10.0, 10.0),
-        w=st.floats(0.0, 10.0),
-        anchor=st.floats(-3.0, 3.0),
-    )
-    def test_beats_grid_search(self, c2, c1, w, anchor):
-        x = scalar_prox(c2, c1, w, anchor)
-        grid = np.concatenate([np.linspace(-200.0, 200.0, 40_001), [anchor]])
-        best = prox_objective(x, c2, c1, w, anchor)
-        assert best <= prox_objective(grid, c2, c1, w, anchor).min() + 1e-9
 
 
 def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0):
@@ -79,136 +41,87 @@ def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0):
     return prob
 
 
-def naive_sweep(prob, y):
-    """Independent per-DOF exact minimization in ascending order."""
-    y = y.copy()
-    A = prob.A.toarray()
-    n = prob.dofmap.n
-    for i in range(y.size):
-        c2 = A[i, i]
-        c1 = A[i] @ y - c2 * y[i] - prob.f[i]
-        if i < n:
-            y[i] = scalar_prox(c2, c1, prob.r[i], prob.p_prev[i])
-        else:
-            y[i] = -c1 / c2
-    return y
+def with_weights(prob, r):
+    """The same increment with dissipation weights r."""
+    return IncrementProblem(A=prob.A, f=prob.f, r=r, p_prev=prob.p_prev, dofmap=prob.dofmap)
 
 
-class TestGaussSeidelSweep:
-    def test_matches_naive_oracle(self):
-        prob = random_problem(3, seed=21)
-        rng = np.random.default_rng(0)
-        y = rng.normal(scale=1e-3, size=prob.dofmap.total)
-        expected = naive_sweep(prob, y)
-        swept = gauss_seidel_sweep(prob, y.copy())
-        assert np.abs(swept - expected).max() < 1e-14
+class TestReturnMap:
+    @pytest.mark.parametrize("L", [3, 6])
+    def test_matches_scalar_return_map(self, L):
+        rng = np.random.default_rng(L)
+        real = sample(LAW, 90 + L, 1, L)
+        F = SymTensor2(*rng.normal(scale=5e-4, size=3))
+        prob = build_increment(real, F, p_prev=rng.normal(scale=3e-4, size=3 * L**2))
+        phi = rng.normal(scale=3e-4, size=prob.dofmap.m)
+        p = _return_map(prob, prob.operator_blocks(), phi)
 
-    def test_energy_decreases_after_every_single_dof_update(self):
-        prob = random_problem(3, seed=22, p_prev_scale=1e-4)
-        rng = np.random.default_rng(1)
-        y = rng.normal(scale=1e-3, size=prob.dofmap.total)
-        A = prob.A.toarray()
-        n = prob.dofmap.n
-        energy = increment_energy(prob, y)
-        for i in range(y.size):
-            c2 = A[i, i]
-            c1 = A[i] @ y - c2 * y[i] - prob.f[i]
-            if i < n:
-                y[i] = scalar_prox(c2, c1, prob.r[i], prob.p_prev[i])
-            else:
-                y[i] = -c1 / c2
-            new_energy = increment_energy(prob, y)
-            assert new_energy <= energy + 1e-12 * (1 + abs(energy))
-            energy = new_energy
-
-    def test_fixed_point_at_minimizer(self):
-        prob = random_problem(3, seed=23)
-        state, _ = solve_increment(prob)
-        y = prob.dofmap.pack(state)
-        swept = gauss_seidel_sweep(prob, y.copy())
-        assert np.abs(swept - y).max() < 1e-14 * (1 + np.abs(y).max())
-
-    def test_smooth_reduction_is_plain_gauss_seidel(self):
-        prob = random_problem(3, seed=24)
-        smooth = IncrementProblem(
-            A=prob.A, f=prob.f, r=np.zeros_like(prob.r), p_prev=prob.p_prev, dofmap=prob.dofmap
+        state = prob.dofmap.unpack(np.concatenate([np.zeros(prob.dofmap.n), phi]))
+        strain = (ps_map(F)[:, None] + edge_strains(state.phi, prob.dofmap.lattice)).ravel()
+        expected = np.array(
+            [
+                return_map(SpringParams(a, h, sy), d, p_prev)
+                for a, h, sy, d, p_prev in zip(real.a, real.h, real.sy, strain, prob.p_prev)
+            ]
         )
-        rng = np.random.default_rng(2)
-        y = rng.normal(scale=1e-3, size=prob.dofmap.total)
-        # classical Gauss-Seidel update for A y = f, ascending order
-        A = prob.A.toarray()
-        expected = y.copy()
-        for i in range(y.size):
-            expected[i] += (prob.f[i] - A[i] @ expected) / A[i, i]
-        swept = gauss_seidel_sweep(smooth, y.copy())
-        assert np.abs(swept - expected).max() < 1e-12 * (1 + np.abs(expected).max())
-
-    def test_accepts_states(self):
-        prob = random_problem(3, seed=25)
-        out = gauss_seidel_sweep(prob, RveState.zero(3))
-        assert isinstance(out, RveState)
+        stuck = expected == prob.p_prev
+        assert 0 < stuck.sum() < stuck.size  # both branches are exercised
+        assert np.array_equal(p[stuck], prob.p_prev[stuck])
+        assert np.abs(p - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestNewtonCorrection:
     def test_elastic_problem_solved_in_one_correction(self):
-        prob = random_problem(4, seed=31)
-        smooth = IncrementProblem(
-            A=prob.A, f=prob.f, r=np.zeros_like(prob.r), p_prev=prob.p_prev, dofmap=prob.dofmap
-        )
-        y = np.full(prob.dofmap.total, 1e-4)  # every DOF active (off its anchor)
-        corrected = truncated_newton_correction(smooth, y)
+        # uniaxial: the vertical edges carry no load, so p = p_prev there at
+        # the zero start, and they must still count as flowing
+        prob = build_increment(sample(LAW, 31, 1, 4), SymTensor2(1e-3, 0.0, 0.0))
+        smooth = with_weights(prob, np.zeros_like(prob.r))
+        state, report = solve_increment(smooth)
         exact = spla.spsolve(sp.csc_matrix(prob.A), prob.f)
-        assert np.abs(corrected - exact).max() < 1e-10 * (1 + np.abs(exact).max())
+        y = prob.dofmap.pack(state)
+        assert report.iterations <= 2
+        assert np.abs(y - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_all_kinked_reduces_to_displacement_solve(self):
-        prob = random_problem(4, seed=32)
-        n, total = prob.dofmap.n, prob.dofmap.total
-        rng = np.random.default_rng(3)
-        y = np.zeros(total)
-        y[n:] = rng.normal(scale=1e-4, size=total - n)  # p == p_prev everywhere
-        corrected = truncated_newton_correction(prob, y.copy())
-        assert np.array_equal(corrected[:n], y[:n])  # plastic block untouched
-        # block-elimination oracle: solve the phi block with p frozen
+        prob = random_problem(4, seed=32, p_prev_scale=2e-4)
+        prob = with_weights(prob, np.full_like(prob.r, 1e9))
+        n = prob.dofmap.n
+        state, _ = solve_increment(prob)
+        assert np.array_equal(state.p, prob.p_prev)  # every edge stuck, bitwise
+        # block-elimination oracle: Q phi = f_phi - C p_prev
         A = prob.A.toarray()
-        rhs = prob.f[n:] - A[n:, :n] @ y[:n]
-        phi_exact = np.linalg.solve(A[n:, n:], rhs)
-        assert np.abs(corrected[n:] - phi_exact).max() < 1e-12 * (1 + np.abs(phi_exact).max())
+        phi_exact = np.linalg.solve(A[n:, n:], prob.f[n:] - A[n:, :n] @ prob.p_prev)
+        phi = prob.dofmap.pack(state)[n:]
+        assert np.abs(phi - phi_exact).max() <= 1e-12 * np.abs(phi_exact).max()
 
     def test_energy_never_increases(self):
+        # far warm starts, where a full step can raise the energy and is
+        # halved; only their phi is read
         rng = np.random.default_rng(4)
         for seed in range(5):
             prob = random_problem(3, seed=40 + seed, p_prev_scale=2e-4)
-            y = rng.normal(scale=1e-3, size=prob.dofmap.total)
-            before = increment_energy(prob, y)
-            corrected = truncated_newton_correction(prob, y.copy())
-            assert increment_energy(prob, corrected) <= before
-
-    def test_never_crosses_kink(self):
-        for seed in range(5):
-            prob = random_problem(3, seed=50 + seed, p_prev_scale=2e-4)
-            rng = np.random.default_rng(seed)
-            y = rng.normal(scale=1e-3, size=prob.dofmap.total)
-            n = prob.dofmap.n
-            before = y[:n] - prob.p_prev
-            corrected = truncated_newton_correction(prob, y.copy())
-            after = corrected[:n] - prob.p_prev
-            assert np.all(before * after >= 0.0)
+            warm = prob.dofmap.unpack(rng.normal(scale=1e-2, size=prob.dofmap.total))
+            _, report = solve_increment(prob, warm_start=warm)
+            phi0 = prob.dofmap.pack(warm)[prob.dofmap.n :]
+            start = np.concatenate([_return_map(prob, prob.operator_blocks(), phi0), phi0])
+            assert report.energies[0] == increment_energy(prob, start)
+            assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
 
     def test_reused_factor_matches_fresh_problem(self):
-        # the Schur factor is kept between corrections on the same operator:
-        # a repeated active set must reuse it, a changed one must not
-        prob = random_problem(4, seed=60, p_prev_scale=2e-4)
+        # the Schur factor is kept between solves on the same operator: a
+        # repeated flowing set must reuse it, a changed one must not
+        prob = random_problem(4, seed=60, scale=1e-3, p_prev_scale=2e-4)
         rng = np.random.default_rng(6)
-        n = prob.dofmap.n
-        y1 = rng.normal(scale=1e-3, size=prob.dofmap.total)
-        y2 = y1.copy()
-        y2[: n // 2] = prob.p_prev[: n // 2]  # half the plastic DOFs at the kink
-        for y in (y1, y1, y2, y1):
+        warm1 = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
+        warm2 = prob.dofmap.unpack(rng.normal(scale=1e-5, size=prob.dofmap.total))
+        for warm in (warm1, warm1, warm2, warm1):
             fresh = IncrementProblem(
                 A=prob.A, f=prob.f, r=prob.r, p_prev=prob.p_prev, dofmap=prob.dofmap
             )
-            expected = truncated_newton_correction(fresh, y.copy())
-            assert np.array_equal(truncated_newton_correction(prob, y.copy()), expected)
+            expected, rep_fresh = solve_increment(fresh, warm_start=warm)
+            state, report = solve_increment(prob, warm_start=warm)
+            assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
+            assert report.energies == rep_fresh.energies
 
 
 class TestSolveIncrement:
