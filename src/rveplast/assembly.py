@@ -15,6 +15,17 @@ The smooth part is carried as  1/2 y.A y - f.y  with A the Hessian
 minus the state-independent constant  sum_e a_e/2 Fhat_a^2.  The cell
 average factor L^-2 is kept out of A, f and the dissipation weights (it
 does not change minimizers) and applied only when reporting energies.
+
+f is linear in ps_map F: f = B ps_map(F) with the load basis B of shape
+(total, K), made once per cell (``LoadBasis``).  The cell-averaged stress
+is the derivative of the stored energy with respect to ps_map F, so the
+same B gives it too:
+
+    s_alpha = L^-2 ( sum_{e in alpha} a_e Fhat_a - (B.T y)_alpha ).
+
+``IncrementBuilder`` holds everything of a cell's increments that does not
+depend on F or the plastic history (dof map, A, B and the block split of
+A), so a time step costs one product B ps_map(F).
 """
 
 from __future__ import annotations
@@ -145,6 +156,52 @@ def assemble_operator(
     return A
 
 
+@dataclass(frozen=True, eq=False)
+class LoadBasis:
+    """The load vector and the cell-averaged stress as linear maps of ps_map F.
+
+    Column alpha of B is -a_e times the stencil of g_e - p_e, summed over
+    the type-alpha edges, so that with Fhat = ps_map(F)
+
+        (B Fhat).y = sum_e a_e Fhat_a (p_e - g_e(phi)).
+
+    The stored energy sum_e a_e/2 (Fhat_a + g_e - p_e)^2 has the derivative
+    sum_{e in alpha} a_e (Fhat_a + g_e - p_e) with respect to Fhat_alpha,
+    which is  sum_{e in alpha} a_e Fhat_a - (B.T y)_alpha.
+    """
+
+    B: sp.csr_matrix = field(repr=False)  # shape (total, K)
+    B_t: sp.csr_matrix = field(repr=False)  # B.T, kept: a transpose per call costs 4x the product
+    a_sums: np.ndarray  # sum of a_e over the edges of each type, shape (K,)
+    scale: float  # L^-2
+
+    @classmethod
+    def of(cls, real: Realization, dofmap: DofMap) -> "LoadBasis":
+        rows, cols, vals = [], [], []
+        a = real.by_type("a")
+        for alpha in range(K):
+            dofs, coef = _edge_stencil(dofmap, alpha)
+            keep = dofs >= 0
+            rows.append(dofs[keep])
+            cols.append(np.full(np.count_nonzero(keep), alpha))
+            vals.append((-a[alpha] * coef)[keep])
+        B = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dofmap.total, K),
+        ).tocsr()
+        B.sum_duplicates()
+        B.eliminate_zeros()
+        return cls(B=B, B_t=B.T.tocsr(), a_sums=a.sum(axis=1), scale=float(real.L) ** (-D))
+
+    def load(self, F) -> np.ndarray:
+        """f = B ps_map(F)."""
+        return self.B @ ps_map(F)
+
+    def stress(self, y: np.ndarray, F) -> np.ndarray:
+        """Cell-averaged stress at the packed state y, one entry per edge type."""
+        return self.scale * (self.a_sums * ps_map(F) - self.B_t @ y)
+
+
 def assemble_load(
     real: Realization, F, clamped: bool = True, dofmap: DofMap | None = None
 ) -> np.ndarray:
@@ -156,16 +213,7 @@ def assemble_load(
     """
     if dofmap is None:
         dofmap = DofMap(real.L, clamped=clamped)
-    fhat = ps_map(F)
-    f = np.zeros(dofmap.total)
-    a = real.by_type("a")
-    for alpha in range(K):
-        dofs, coef = _edge_stencil(dofmap, alpha)
-        w = -a[alpha] * fhat[alpha]
-        for i in range(5):
-            keep = dofs[i] >= 0
-            np.add.at(f, dofs[i][keep], (w * coef[i])[keep])
-    return f
+    return LoadBasis.of(real, dofmap).load(F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +335,39 @@ class IncrementProblem:
         return self.dofmap.pack(y) if isinstance(y, RveState) else np.asarray(y, dtype=float)
 
 
+class IncrementBuilder:
+    """The increments of one realization: dof map, A and B are made once.
+
+    With ``split`` the block split of A is made once too and shared by every
+    increment, so solves of successive time steps also share the solver's
+    cached Schur factor.  Otherwise each increment splits A on first use.
+    """
+
+    def __init__(self, real: Realization, A: sp.csr_matrix | None = None, split: bool = False):
+        self.real = real
+        self.dofmap = DofMap(real.L)
+        self.A = assemble_operator(real, dofmap=self.dofmap) if A is None else A
+        self.basis = LoadBasis.of(real, self.dofmap)
+        self.blocks = OperatorBlocks.split(self.A, self.dofmap.n) if split else None
+
+    def increment(self, F, p_prev: np.ndarray | None = None) -> IncrementProblem:
+        """The increment problem at macro strain F from plastic strains p_prev (default 0)."""
+        if p_prev is None:
+            p_prev = np.zeros(self.dofmap.n)
+        return IncrementProblem(
+            A=self.A,
+            f=self.basis.load(F),
+            r=self.real.sy,
+            p_prev=np.asarray(p_prev, dtype=float),
+            dofmap=self.dofmap,
+            blocks=self.blocks,
+        )
+
+    def stress(self, state: RveState, F) -> np.ndarray:
+        """Cell-averaged stress of ``state`` at macro strain F (``LoadBasis.stress``)."""
+        return self.basis.stress(self.dofmap.pack(state), F)
+
+
 def build_increment(
     real: Realization,
     F,
@@ -300,18 +381,7 @@ def build_increment(
     """
     if real.L < 2:
         raise ValueError(f"increment problems need L >= 2, got L={real.L}")
-    dofmap = DofMap(real.L)
-    if A is None:
-        A = assemble_operator(real, dofmap=dofmap)
-    if p_prev is None:
-        p_prev = np.zeros(dofmap.n)
-    return IncrementProblem(
-        A=A,
-        f=assemble_load(real, F, dofmap=dofmap),
-        r=real.sy.copy(),
-        p_prev=np.asarray(p_prev, dtype=float),
-        dofmap=dofmap,
-    )
+    return IncrementBuilder(real, A=A).increment(F, p_prev)
 
 
 def increment_energy(prob: IncrementProblem, y) -> float:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    DofMap,
-    IncrementProblem,
-    OperatorBlocks,
-    RveState,
-    assemble_load,
-    assemble_operator,
-)
-from .lattice import D, K, PeriodicLattice, SymTensor2, edge_strains, ps_adjoint, ps_map
+from .assembly import DofMap, IncrementBuilder, LoadBasis, RveState
+from .lattice import K, SymTensor2, ps_adjoint
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
 
@@ -102,14 +95,12 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.
 
     s_alpha = L^-2 sum over type-alpha edges of
-    a_e ((ps_map F)_alpha + g_e(phi) - p_e).
+    a_e ((ps_map F)_alpha + g_e(phi) - p_e), evaluated with the load basis
+    (``LoadBasis.stress``).  The displacements of ``state`` vanish at the
+    clamped corners, as in every state the solver returns.
     """
-    L = real.L
-    fhat = ps_map(F)
-    g = edge_strains(state.phi, PeriodicLattice(L))
-    p = state.p.reshape(K, L**2)
-    a = real.by_type("a")
-    return (a * (fhat[:, None] + g - p)).sum(axis=1) * float(L) ** (-D)
+    dofmap = DofMap(real.L)
+    return LoadBasis.of(real, dofmap).stress(dofmap.pack(state), F)
 
 
 def plastic_fraction(state: RveState) -> np.ndarray:
@@ -139,11 +130,8 @@ def run_path(
     zero state at t=0.  Pass a list as ``reports`` to collect the solver
     report of every increment.
     """
-    L = real.L
-    dofmap = DofMap(L)
-    A = assemble_operator(real, dofmap=dofmap)
-    blocks = OperatorBlocks.split(A, dofmap.n)
-    state = RveState.zero(L)
+    cell = IncrementBuilder(real, split=True)
+    state = RveState.zero(real.L)
     out = [
         (
             state,
@@ -159,21 +147,15 @@ def run_path(
     ]
     for l in range(1, path.n_steps + 1):
         F = path.tensor(l)
-        prob = IncrementProblem(
-            A=A,
-            f=assemble_load(real, F, dofmap=dofmap),
-            r=real.sy,
-            p_prev=state.p,
-            dofmap=dofmap,
-            blocks=blocks,
-        )
         try:
-            state, report = solve_increment(prob, warm_start=state, settings=settings)
+            state, report = solve_increment(
+                cell.increment(F, state.p), warm_start=state, settings=settings
+            )
         except SolverError as err:
             raise PathError(f"solver failed at step {l} (t={path.times[l]})", l, err) from err
         if reports is not None:
             reports.append(report)
-        s = stress_vector(real, state, F)
+        s = cell.stress(state, F)
         out.append(
             (
                 state,

@@ -20,9 +20,18 @@ the decrease of a step can lie far below the round-off of the energy's
 separate terms, and comparing two evaluated energies then rejects every
 step and stalls the solver.  The recorded energy sequence starts at the
 energy of (p*(phi_0), phi_0) and adds each accepted change, so it is
-nonincreasing by construction.  The solve has converged when the accepted
-step is small, the energy has stagnated and the optimality residual of the
-full problem is within its tolerance.
+nonincreasing by construction.
+
+The solve stops at a point whose optimality residual of the full problem is
+within its tolerance, tested in two cases.  Most increments end on the
+first: a full Newton step (s = 1) was accepted and its end point has the
+same side pattern as the point the step was computed at (which edges are
+stuck, and on which side of p_prev each flowing edge lies).  On one side
+pattern p*(phi) is affine in phi, so E is quadratic there with the Hessian
+S(w) the step was solved with, and grad E(phi + dphi) = grad E(phi) +
+S(w) dphi = 0 up to round-off: the full step lands on the minimizer, and a
+further step would only confirm it.  In every other case the solve stops
+once the accepted step is small and the energy has stagnated.
 """
 
 from __future__ import annotations
@@ -89,6 +98,14 @@ def _return_map(prob: IncrementProblem, blocks: OperatorBlocks, phi: np.ndarray)
     c = blocks.coupling_t @ phi - prob.f[: prob.dofmap.n]
     g = blocks.diag * prob.p_prev + c
     return np.where(np.abs(g) <= prob.r, prob.p_prev, (np.copysign(prob.r, g) - c) / blocks.diag)
+
+
+def _side(prob: IncrementProblem, y: np.ndarray, smooth: np.ndarray) -> np.ndarray:
+    """sign(p_e - p_prev_e) per edge: 0 stuck, +-1 flowing; +1 on edges without dissipation.
+
+    An edge with r_e = 0 is never stuck: its return map is linear in phi.
+    """
+    return np.where(smooth, 1.0, np.sign(y[: prob.dofmap.n] - prob.p_prev))
 
 
 def _energy_change(prob: IncrementProblem, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> float:
@@ -172,17 +189,17 @@ def solve_increment(
     blocks = prob.operator_blocks()
     phi = dofmap.pack(warm_start)[n:] if warm_start is not None else np.zeros(dofmap.m)
     y = np.concatenate([_return_map(prob, blocks, phi), phi])
-    # an edge without dissipation is never stuck: its return map is linear
     smooth = prob.r == 0.0
 
     report = SolveReport()
     report.load_norm = float(np.max(np.abs(prob.f), initial=0.0))
     residual_gate = settings.tol_residual * (1.0 + report.load_norm)
     report.energies.append(increment_energy(prob, y))
+    side = _side(prob, y, smooth)
     for it in range(1, settings.max_outer + 1):
         report.iterations = it
         g = prob.A @ y - prob.f
-        flowing = (y[:n] != prob.p_prev) | smooth
+        flowing = side != 0.0
         w = np.where(flowing, 1.0 / blocks.diag, 0.0)
         d_phi = np.zeros(dofmap.m)
         if dofmap.m:
@@ -199,16 +216,19 @@ def solve_increment(
             change = _energy_change(prob, y, z, g)
             if change <= 0.0:
                 step_norm = float(np.max(np.abs(z - y), initial=0.0))
-                y = z
+                z_side = _side(prob, z, smooth)
+                exact = step == 1.0 and np.array_equal(z_side, side)
+                y, side = z, z_side
                 report.energies.append(report.energies[-1] + change)
                 break
         else:
-            step_norm, change = 0.0, 0.0  # no descent along d_phi: keep the point
+            # no descent along d_phi: keep the point
+            step_norm, change, exact = 0.0, 0.0, False
 
         scale_y = 1.0 + float(np.max(np.abs(y), initial=0.0))
         small_step = step_norm <= settings.tol_increment * scale_y
         stagnated = -change <= settings.tol_energy * (1.0 + abs(report.energies[-1]))
-        if small_step and stagnated:
+        if exact or (small_step and stagnated):
             report.residual = optimality_residual(prob, y)
             if report.residual <= residual_gate:
                 report.converged = True

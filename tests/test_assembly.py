@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from rveplast.assembly import (
     DofMap,
+    IncrementBuilder,
     IncrementProblem,
     OperatorBlocks,
     RveState,
@@ -16,7 +17,8 @@ from rveplast.assembly import (
     corner_nodes,
     increment_energy,
 )
-from rveplast.lattice import K, SymTensor2, edge_strains, ps_map
+from rveplast.driver import stress_vector
+from rveplast.lattice import K, SymTensor2, edge_strains, projected_edge_derivative, ps_map
 from rveplast.randfield import MaterialLaw, sample
 
 LAW = MaterialLaw()
@@ -192,6 +194,58 @@ class TestLoad:
             y = dm.pack(state)
             smooth = 0.5 * y @ (A @ y) - f @ y
             assert smooth + const == pytest.approx(stored_energy(real, F, state), rel=1e-10)
+
+
+def edge_derivatives(state, L):
+    """g_e(phi) edge by edge with projected_edge_derivative, shape (K, L*L)."""
+    return np.array(
+        [
+            [projected_edge_derivative(state.phi, (tail, alpha), L) for tail in range(L**2)]
+            for alpha in range(K)
+        ]
+    )
+
+
+class TestLoadBasis:
+    """assemble_load and stress_vector (both made from the load basis) edge by edge."""
+
+    F = SymTensor2(1.2e-3, -0.9e-3, 0.4e-3)  # F12 != 0 loads the diagonal edges apart
+
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    def test_load_pairing_matches_edge_definition(self, L):
+        real = sample(LAW, 40 + L, 1, L)
+        dm = DofMap(L)
+        f = assemble_load(real, self.F)
+        rng = np.random.default_rng(L)
+        for _ in range(3):
+            state = random_state(dm, rng)
+            p = state.p.reshape(K, L**2)
+            # f.y = sum_e a_e Fhat_a (p_e - g_e(phi))
+            terms = real.by_type("a") * ps_map(self.F)[:, None] * (p - edge_derivatives(state, L))
+            assert abs(f @ dm.pack(state) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    def test_stress_matches_edge_definition(self, L):
+        real = sample(LAW, 50 + L, 1, L)
+        dm = DofMap(L)
+        rng = np.random.default_rng(10 + L)
+        for _ in range(3):
+            state = random_state(dm, rng)
+            p = state.p.reshape(K, L**2)
+            # s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_a + g_e(phi) - p_e)
+            terms = real.by_type("a") * (ps_map(self.F)[:, None] + edge_derivatives(state, L) - p)
+            expected = terms.sum(axis=1) / L**2
+            tol = 1e-13 * np.abs(terms).sum(axis=1) / L**2
+            assert np.all(np.abs(stress_vector(real, state, self.F) - expected) <= tol)
+
+    def test_builder_shares_operator_and_blocks(self):
+        real = sample(LAW, 60, 1, 4)
+        A = assemble_operator(real)
+        prob = IncrementBuilder(real, A=A).increment(self.F)
+        assert prob.A is A and prob.blocks is None and np.all(prob.p_prev == 0.0)
+        cell = IncrementBuilder(real, split=True)
+        first, second = cell.increment(self.F), cell.increment(SymTensor2.zero())
+        assert first.blocks is not None and second.blocks is first.blocks
 
 
 def split_blocks(L, seed=13):

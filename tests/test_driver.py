@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rveplast.driver
 from rveplast.assembly import RveState, build_increment, increment_energy
 from rveplast.driver import (
     PathError,
@@ -132,6 +133,30 @@ class TestRunPath:
             assert np.array_equal(ra.s, rb.s)
             assert np.array_equal(ra.fractions, rb.fractions)
             assert ra.energy == rb.energy
+
+    def test_increments_match_build_increment(self, monkeypatch):
+        # run_path and build_increment make their increments with one builder:
+        # the same load bitwise, the previous step's plastic strains, the same A
+        solve = rveplast.driver.solve_increment
+        problems = []
+
+        def spy(prob, **kwargs):
+            problems.append(prob)
+            return solve(prob, **kwargs)
+
+        monkeypatch.setattr(rveplast.driver, "solve_increment", spy)
+        real = sample(LAW, 8, 1, 4)
+        tensors = [[0, 0, 0], [1e-3, 4e-4, -2e-4], [2e-3, -3e-4, 5e-4], [0, 1e-3, 0]]
+        path = StrainPath(np.linspace(0.0, 1.0, 4), tensors)
+        records = run_path(real, path)
+        assert len(problems) == path.n_steps
+        for l, prob in enumerate(problems, start=1):
+            expected = build_increment(real, path.tensor(l), p_prev=records[l - 1][0].p)
+            assert np.array_equal(prob.f, expected.f)
+            assert np.array_equal(prob.p_prev, expected.p_prev)
+            assert np.array_equal(prob.r, expected.r)
+            assert (prob.A != expected.A).nnz == 0
+            assert prob.blocks is problems[0].blocks is not None
 
     def test_fraction_monotone_under_monotone_load(self):
         real = sample(LAW, 4, 1, 6)

@@ -1,9 +1,12 @@
 """Return map, Newton steps and the increment solve."""
 
+import hypothesis
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rveplast.assembly import (
     IncrementProblem,
@@ -79,7 +82,7 @@ class TestNewtonCorrection:
         state, report = solve_increment(smooth)
         exact = spla.spsolve(sp.csc_matrix(prob.A), prob.f)
         y = prob.dofmap.pack(state)
-        assert report.iterations <= 2
+        assert report.iterations == 1  # the full step keeps every edge flowing: exact
         assert np.abs(y - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_all_kinked_reduces_to_displacement_solve(self):
@@ -163,13 +166,15 @@ class TestSolveIncrement:
         assert optimality_residual(prob, state) == report.residual
 
     def test_warm_start_invariance(self):
+        # only the warm start's phi is read, so vary phi
         prob = random_problem(4, seed=82)
         settings = SolverSettings()
         rng = np.random.default_rng(5)
         state_cold, rep_cold = solve_increment(prob, settings=settings)
-        warm = RveState.zero(4)
-        warm.p[:] = rng.normal(scale=1e-3, size=warm.p.size)
+        warm = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
+        assert np.abs(warm.phi).max() > 0.0
         state_warm, rep_warm = solve_increment(prob, warm_start=warm, settings=settings)
+        assert rep_warm.energies[0] > rep_cold.energies[0]  # a different start
         assert abs(rep_cold.energy - rep_warm.energy) <= 2 * settings.tol_energy * (
             1 + abs(rep_cold.energy)
         )
@@ -187,9 +192,14 @@ class TestSolveIncrement:
         assert report.energy <= increment_energy(prob, warm)
 
     def test_nonconvergence_raises_with_report(self):
+        # a far warm start that needs more than one Newton step
         prob = random_problem(4, seed=84)
+        rng = np.random.default_rng(84)
+        warm = prob.dofmap.unpack(rng.normal(scale=1e-2, size=prob.dofmap.total))
+        _, report = solve_increment(prob, warm_start=warm)
+        assert report.iterations >= 2
         with pytest.raises(SolverError) as excinfo:
-            solve_increment(prob, settings=SolverSettings(max_outer=1))
+            solve_increment(prob, warm_start=warm, settings=SolverSettings(max_outer=1))
         assert excinfo.value.report.iterations == 1
 
     def test_settings_validation(self):
@@ -197,3 +207,46 @@ class TestSolveIncrement:
             SolverSettings(tol_increment=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_outer=0)
+
+
+def intervals(low, high, zero=False):
+    """(lo, hi) with lo in [low, high] and hi up to 3 lo; a point mass when equal."""
+    lo = st.floats(low, high)
+    if zero:
+        lo = st.one_of(st.just(0.0), lo)
+    return st.tuples(lo, st.floats(1.0, 3.0)).map(lambda t: (t[0], t[0] * t[1]))
+
+
+@st.composite
+def laws(draw):
+    a, h = draw(intervals(1e5, 2e6)), draw(intervals(1e5, 2e6))
+    sy = draw(intervals(1e2, 2e3, zero=True))
+    if draw(st.booleans()):
+        return MaterialLaw.point_mass(a[0], h[0], sy[0])
+    return MaterialLaw(a, h, sy)
+
+
+class TestSolveProperties:
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        L=st.sampled_from([2, 3]),
+        law=laws(),
+        seed=st.integers(0, 2**32 - 1),
+        F=st.tuples(*[st.floats(-5e-3, 5e-3)] * 3),
+        p_prev_scale=st.floats(0.0, 5e-4),
+        phi_scale=st.floats(0.0, 1e-2),
+    )
+    def test_converges_to_certified_minimizer(self, L, law, seed, F, p_prev_scale, phi_scale):
+        real = sample(law, seed, 1, L)
+        rng = np.random.default_rng(seed)
+        p_prev = rng.normal(scale=p_prev_scale, size=3 * L**2)
+        prob = build_increment(real, SymTensor2(*F), p_prev=p_prev)
+        warm = prob.dofmap.unpack(rng.normal(scale=phi_scale, size=prob.dofmap.total))
+        state, report = solve_increment(prob, warm_start=warm)
+        gate = SolverSettings().tol_residual * (1.0 + report.load_norm)
+        assert report.converged
+        assert optimality_residual(prob, state) == report.residual <= gate
+        assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+        if L == 2:
+            oracle = brute_force_increment(prob, iterations=2000)
+            assert increment_energy(prob, state) <= increment_energy(prob, oracle) + 1e-10
