@@ -2,34 +2,40 @@
 
 One load increment at macroscopic strain F minimizes
 
-    J(p, phi) = sum_e [ a_e/2 (Fhat_a + g_e(phi) - p_e)^2 + h_e/2 p_e^2 ]
+    J(p, phi) = sum_e [ a_e/2 (Fhat_e + g_e(phi) - p_e)^2 + h_e/2 p_e^2 ]
                 + sum_e sy_e |p_e - p_prev_e|
 
 over the plastic strains p (one scalar per edge) and the displacement
 fluctuation phi (one 2-vector per node, clamped to zero at the cell
 corners).  Here g_e(phi) is the projected edge derivative and
-Fhat_a = (ps_map F)_alpha the longitudinal macro strain of the edge type.
+Fhat_e = (ps_map F)_alpha the longitudinal macro strain of the edge's
+type alpha.
 
-The smooth part is carried as  1/2 y.A y - f.y  with A the Hessian
-(independent of F) and f the load vector: this equals J's smooth part
-minus the state-independent constant  sum_e a_e/2 Fhat_a^2.  The cell
-average factor L^-2 is kept out of A, f and the dissipation weights (it
-does not change minimizers) and applied only when reporting energies.
+The edge derivatives are linear in the free displacements, g = G phi, with
+a sparse n x m matrix G (n edges, m free displacement components) that
+depends on the cell size alone.  ``CellStructure`` holds G, made once per
+L; everything a realization needs follows from G and its edge values a, h:
 
-f is linear in ps_map F: f = B ps_map(F) with the load basis B of shape
-(total, K), made once per cell (``LoadBasis``).  The cell-averaged stress
-is the derivative of the stored energy with respect to ps_map F, so the
-same B gives it too:
+    A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
+    f       = [a Fhat; -G.T (a Fhat)]
+    s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e)
+    S(k)    = G.T diag(k) G
 
-    s_alpha = L^-2 ( sum_{e in alpha} a_e Fhat_a - (B.T y)_alpha ).
-
-``IncrementBuilder`` holds everything of a cell's increments that does not
-depend on F or the plastic history (dof map, A, B and the block split of
-A), so a time step costs one product B ps_map(F).
+The smooth part of J is carried as 1/2 y.A y - f.y with the Hessian A
+(independent of F) and the load f; this equals it minus the
+state-independent constant sum_e a_e/2 Fhat_e^2.  s is the cell-averaged
+stress, the derivative of the stored energy with respect to ps_map F.
+S(k) is the Hessian of the displacements once the plastic strains of the
+flowing edges are eliminated: a flowing edge puts its springs a_e and h_e
+in series, k_e = a_e h_e / (a_e + h_e), and a stuck edge keeps k_e = a_e.
+The cell average factor L^-2 is kept out of A, f and the dissipation
+weights (it does not change minimizers) and applied only when reporting
+energies and stresses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,231 +106,155 @@ class DofMap:
         return RveState(y[: self.n].copy(), phi)
 
 
-def _edge_stencil(dofmap: DofMap, alpha: int):
-    """Per-edge (dof, coefficient) stencil of the elastic strain g - p.
+def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
+    """Fixed pattern of sum_e v_e w_e w_e.T and the map M of v to its data.
 
-    Five entries per edge: the plastic DOF with weight -1 and the four
-    displacement components of head and tail weighted by the projected
-    derivative; clamped components get dof -1 / weight 0.
+    Row e of ``dof`` and ``weight`` lists the nonzero entries of the vector
+    w_e (entries of weight 0 are skipped).  Returns the pattern as a CSR
+    matrix of ones and the sparse map M with one row per pattern entry, so
+    that the matrix is csr(M v) on the pattern.  Pattern and values are
+    symmetric, so the CSR arrays are also the CSC arrays.
     """
-    lat = dofmap.lattice
-    npt = lat.num_nodes
-    tails = np.arange(npt)
-    heads = lat.heads[alpha]
-    c = EDGE_COEFF[alpha]
-    dofs = np.empty((5, npt), dtype=np.intp)
-    coef = np.empty((5, npt))
-    dofs[0] = alpha * npt + tails
-    coef[0] = -1.0
-    for i in range(2):
-        dofs[1 + i] = dofmap.phi_dof[heads, i]
-        coef[1 + i] = c[i]
-        dofs[3 + i] = dofmap.phi_dof[tails, i]
-        coef[3 + i] = -c[i]
-    coef[dofs < 0] = 0.0
-    return dofs, coef
+    keep = weight != 0.0
+    pair = keep[:, :, None] & keep[:, None, :]
+    i = np.broadcast_to(dof[:, :, None], pair.shape)[pair]
+    j = np.broadcast_to(dof[:, None, :], pair.shape)[pair]
+    e = np.broadcast_to(np.arange(dof.shape[0])[:, None, None], pair.shape)[pair]
+    # row-major keys ascend in CSR order with sorted indices
+    keys, entry = np.unique(i * size + j, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    pattern = sp.csr_matrix((np.ones(keys.size), keys % size, indptr), shape=(size, size))
+    values = (weight[:, :, None] * weight[:, None, :])[pair]
+    return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
-def assemble_operator(
-    real: Realization, clamped: bool = True, dofmap: DofMap | None = None
-) -> sp.csr_matrix:
+def _with_data(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+class CellStructure:
+    """The edge-strain operator G of the cell of side L and the patterns made from it.
+
+    Everything here depends on L alone (``cell_structure`` makes it once per
+    L); a realization contributes only its edge values a and h.  ``G`` maps
+    the free displacements to the edge derivatives, g(phi) = G phi; row e
+    holds the weights of the displacement components of the head and tail
+    of edge e.  A and S(k) are sums of one rank-one term per edge, so each
+    has a fixed pattern and a sparse map from the edge values to its data:
+    A.data = M [a; h], and S(k).data = P k with P_(i,j),e = G_ei G_ej, at
+    most 16 entries per edge.  The arrays are read-only, because
+    realizations on several threads share one structure.
+    """
+
+    def __init__(self, L: int, clamped: bool = True):
+        self.dofmap = dm = DofMap(L, clamped=clamped)
+        n, m, npt = dm.n, dm.m, L**2
+        edges = np.arange(n)
+        tails = edges % npt
+        coeff = np.repeat(EDGE_COEFF, npt, axis=0)
+        # per edge: the x, y components of head and tail, their global dof
+        # (-1 where clamped) and their weights in g_e
+        dof = np.concatenate([dm.phi_dof[dm.lattice.heads.ravel()], dm.phi_dof[tails]], axis=1)
+        weight = np.concatenate([coeff, -coeff], axis=1)
+        weight[dof < 0] = 0.0
+        keep = weight != 0.0
+        rows = np.broadcast_to(edges[:, None], dof.shape)[keep]
+        self.G = sp.csr_matrix((weight[keep], (rows, dof[keep] - n)), shape=(n, m))
+        self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
+        self.schur_pattern, self.schur_map = _quadratic_map(dof - n, weight, m)
+        # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
+        stencil = np.column_stack([edges, dof])
+        ones = np.ones((n, 1))
+        self.A_pattern, self.A_map = _quadratic_map(
+            np.concatenate([stencil, stencil]),
+            np.block([[-ones, weight], [ones, np.zeros_like(weight)]]),
+            dm.total,
+        )
+        matrices = (self.G, self.G_t, self.schur_pattern, self.schur_map, self.A_pattern, self.A_map)
+        for mat in matrices:
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
+        for arr in (dm.phi_dof, dm.clamped_nodes, dm._free_mask):
+            arr.flags.writeable = False
+
+    @property
+    def L(self) -> int:
+        return self.dofmap.L
+
+    def _edge_macro_strain(self, F) -> np.ndarray:
+        """Fhat_e = (ps_map F)_alpha on every edge e of type alpha."""
+        return np.repeat(ps_map(F), self.L**2)
+
+    def operator(self, a: np.ndarray, h: np.ndarray) -> sp.csr_matrix:
+        """A = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]."""
+        return _with_data(self.A_pattern, self.A_map @ np.concatenate([a, h]))
+
+    def load(self, a: np.ndarray, F) -> np.ndarray:
+        """f = [a Fhat; -G.T (a Fhat)]."""
+        af = a * self._edge_macro_strain(F)
+        return np.concatenate([af, -(self.G_t @ af)])
+
+    def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
+        """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
+
+        The displacements of ``state`` must vanish where they are clamped,
+        as in every state the solver returns.
+        """
+        phi = self.dofmap.pack(state)[self.dofmap.n :]
+        sigma = a * (self._edge_macro_strain(F) + self.G @ phi - state.p)
+        return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
+
+    def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
+        """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere."""
+        k = np.where(flowing, a * h / (a + h), a)
+        return _with_data(self.schur_pattern, self.schur_map @ k).T
+
+
+@functools.lru_cache(maxsize=8)
+def cell_structure(L: int) -> CellStructure:
+    """The shared, read-only ``CellStructure`` of the clamped cell of side L."""
+    return CellStructure(L)
+
+
+def assemble_operator(real: Realization) -> sp.csr_matrix:
     """Sparse symmetric Hessian A with y.A y = sum_e a (g - p)^2 + h p^2."""
-    if dofmap is None:
-        dofmap = DofMap(real.L, clamped=clamped)
-    npt = real.L**2
-    rows, cols, vals = [], [], []
-    a = real.by_type("a")
-    for alpha in range(K):
-        dofs, coef = _edge_stencil(dofmap, alpha)
-        for i in range(5):
-            keep_i = dofs[i] >= 0
-            for j in range(5):
-                keep = keep_i & (dofs[j] >= 0)
-                rows.append(dofs[i][keep])
-                cols.append(dofs[j][keep])
-                vals.append((a[alpha] * coef[i] * coef[j])[keep])
-        # hardening acts on the plastic DOF alone
-        rows.append(dofs[0])
-        cols.append(dofs[0])
-        vals.append(real.by_type("h")[alpha])
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.total, dofmap.total),
-    ).tocsr()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    return A
+    return cell_structure(real.L).operator(real.a, real.h)
 
 
-@dataclass(frozen=True, eq=False)
-class LoadBasis:
-    """The load vector and the cell-averaged stress as linear maps of ps_map F.
-
-    Column alpha of B is -a_e times the stencil of g_e - p_e, summed over
-    the type-alpha edges, so that with Fhat = ps_map(F)
-
-        (B Fhat).y = sum_e a_e Fhat_a (p_e - g_e(phi)).
-
-    The stored energy sum_e a_e/2 (Fhat_a + g_e - p_e)^2 has the derivative
-    sum_{e in alpha} a_e (Fhat_a + g_e - p_e) with respect to Fhat_alpha,
-    which is  sum_{e in alpha} a_e Fhat_a - (B.T y)_alpha.
-    """
-
-    B: sp.csr_matrix = field(repr=False)  # shape (total, K)
-    B_t: sp.csr_matrix = field(repr=False)  # B.T, kept: a transpose per call costs 4x the product
-    a_sums: np.ndarray  # sum of a_e over the edges of each type, shape (K,)
-    scale: float  # L^-2
-
-    @classmethod
-    def of(cls, real: Realization, dofmap: DofMap) -> "LoadBasis":
-        rows, cols, vals = [], [], []
-        a = real.by_type("a")
-        for alpha in range(K):
-            dofs, coef = _edge_stencil(dofmap, alpha)
-            keep = dofs >= 0
-            rows.append(dofs[keep])
-            cols.append(np.full(np.count_nonzero(keep), alpha))
-            vals.append((-a[alpha] * coef)[keep])
-        B = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dofmap.total, K),
-        ).tocsr()
-        B.sum_duplicates()
-        B.eliminate_zeros()
-        return cls(B=B, B_t=B.T.tocsr(), a_sums=a.sum(axis=1), scale=float(real.L) ** (-D))
-
-    def load(self, F) -> np.ndarray:
-        """f = B ps_map(F)."""
-        return self.B @ ps_map(F)
-
-    def stress(self, y: np.ndarray, F) -> np.ndarray:
-        """Cell-averaged stress at the packed state y, one entry per edge type."""
-        return self.scale * (self.a_sums * ps_map(F) - self.B_t @ y)
-
-
-def assemble_load(
-    real: Realization, F, clamped: bool = True, dofmap: DofMap | None = None
-) -> np.ndarray:
-    """Load vector f with f.y = sum_e a_e Fhat_a (p_e - g_e(phi)).
+def assemble_load(real: Realization, F) -> np.ndarray:
+    """Load vector f with f.y = sum_e a_e Fhat_e (p_e - g_e(phi)).
 
     This makes 1/2 y.A y - f.y equal the stored energy at macro strain F
-    up to the constant sum_e a_e/2 Fhat_a^2.  With spatially constant
+    up to the constant sum_e a_e/2 Fhat_e^2.  With spatially constant
     coefficients the displacement block of f telescopes to zero.
     """
-    if dofmap is None:
-        dofmap = DofMap(real.L, clamped=clamped)
-    return LoadBasis.of(real, dofmap).load(F)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorBlocks:
-    """The Hessian split at the boundary of plastic and displacement DOFs.
-
-    A plastic DOF couples only with itself and the displacement DOFs of its
-    own edge, so the plastic block of A is diagonal:
-
-        A = [[diag(d), C.T],
-             [C,       Q  ]]
-
-    At fixed displacements the plastic DOFs therefore minimize one by one
-    (the solver's return map, which reads d and C.T), and eliminating the
-    flowing ones leaves the Schur complement S(w) = Q - C diag(w) C.T on the
-    displacements, with w = 1/d on the flowing DOFs and 0 elsewhere.  Its
-    CSC pattern, the values of Q on it and the sparse map M with
-    S(w).data = q - M w are fixed for the life of A and computed once, in
-    ``split``.  Each plastic DOF touches at most four displacement DOFs, so M
-    has at most 16 entries per column.
-    """
-
-    diag: np.ndarray  # d, shape (n,)
-    coupling_t: sp.csr_matrix  # C.T = A[:n, n:]
-    schur_pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (indices, indptr)
-    schur_q: np.ndarray = field(repr=False)  # Q on the pattern
-    schur_map: sp.csr_matrix = field(repr=False)  # M, one row per pattern entry
-    # "last": the solver's last factor of a Schur complement, paired with
-    # the set of flowing plastic DOFs it eliminated
-    schur_factor: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def split(cls, A: sp.csr_matrix, n: int) -> "OperatorBlocks":
-        A = sp.csr_matrix(A)
-        plastic = A[:n, :n]
-        diag = plastic.diagonal()
-        if plastic.count_nonzero() != np.count_nonzero(diag):
-            raise ValueError("the plastic block of the operator must be diagonal")
-        disp = A[n:, n:].tocsc()
-        coupling_t = A[:n, n:]
-        m = disp.shape[0]
-
-        # pad the rows of C.T (the displacement DOFs of each plastic DOF)
-        coupling_t.sort_indices()
-        counts = np.diff(coupling_t.indptr)
-        slot = np.arange(coupling_t.nnz) - np.repeat(coupling_t.indptr[:-1], counts)
-        rows = np.repeat(np.arange(n), counts)
-        cols = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
-        vals = np.zeros(cols.shape)
-        cols[rows, slot] = coupling_t.indices
-        vals[rows, slot] = coupling_t.data
-        # every (i, j, e) with C_ie C_je != 0: the entries of C diag(w) C.T
-        shape = (n, cols.shape[1], cols.shape[1])
-        pair_i = np.broadcast_to(cols[:, :, None], shape)
-        pair_j = np.broadcast_to(cols[:, None, :], shape)
-        keep = (pair_i >= 0) & (pair_j >= 0)
-        pair_i, pair_j = pair_i[keep], pair_j[keep]
-        pair_e = np.broadcast_to(np.arange(n)[:, None, None], shape)[keep]
-        pair_v = (vals[:, :, None] * vals[:, None, :])[keep]
-
-        # CSC pattern of S: Q's pattern joined with C C.T's.  The column-major
-        # keys of a CSC matrix with sorted indices ascend, which locates an
-        # entry (i, j) by binary search.
-        pattern = sp.csc_matrix((np.ones(pair_i.size), (pair_i, pair_j)), shape=(m, m))
-        pattern = pattern + abs(disp)
-        disp.sort_indices()
-        pattern.sort_indices()
-
-        def keys_of(mat):
-            return np.repeat(np.arange(m), np.diff(mat.indptr)) * m + mat.indices
-
-        keys = keys_of(pattern)
-        q = np.zeros(keys.size)
-        q[np.searchsorted(keys, keys_of(disp))] = disp.data
-        entry = np.searchsorted(keys, pair_j * m + pair_i)
-        schur_map = sp.csr_matrix((pair_v, (entry, pair_e)), shape=(keys.size, n))
-        return cls(
-            diag=diag,
-            coupling_t=coupling_t,
-            schur_pattern=(pattern.indices, pattern.indptr),
-            schur_q=q,
-            schur_map=schur_map,
-        )
-
-    def schur(self, w: np.ndarray) -> sp.csc_matrix:
-        """S = Q - C diag(w) C.T, on the fixed pattern."""
-        m = self.schur_pattern[1].size - 1
-        data = self.schur_q - self.schur_map @ w
-        return sp.csc_matrix((data, *self.schur_pattern), shape=(m, m))
+    return cell_structure(real.L).load(real.a, F)
 
 
 @dataclass(frozen=True)
 class IncrementProblem:
     """One time increment: Hessian, load, dissipation weights, previous state.
 
-    ``blocks`` is the block split of ``A``; it is computed on first use
-    unless given.  Pass the blocks of a previous increment with the same
-    ``A`` to reuse them.
+    ``a`` and ``h`` are the edge moduli ``A`` is made of on ``cell``; the
+    solver's return map and Schur complement read them.  ``schur_factor``
+    holds the solver's last factor of a Schur complement, paired with the
+    flowing set it eliminated ("last").  The increments of one path share
+    it, so the factor is reused while the flowing set repeats; it is never
+    shared between threads.
     """
 
     A: sp.csr_matrix = field(repr=False)
     f: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     p_prev: np.ndarray = field(repr=False)
-    dofmap: DofMap = field(repr=False)
-    blocks: OperatorBlocks | None = field(default=None, repr=False, compare=False)
+    a: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
+    cell: CellStructure = field(repr=False)
+    schur_factor: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def operator_blocks(self) -> OperatorBlocks:
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", OperatorBlocks.split(self.A, self.dofmap.n))
-        return self.blocks
+    @property
+    def dofmap(self) -> DofMap:
+        return self.cell.dofmap
 
     @property
     def scale(self) -> float:
@@ -335,39 +265,6 @@ class IncrementProblem:
         return self.dofmap.pack(y) if isinstance(y, RveState) else np.asarray(y, dtype=float)
 
 
-class IncrementBuilder:
-    """The increments of one realization: dof map, A and B are made once.
-
-    With ``split`` the block split of A is made once too and shared by every
-    increment, so solves of successive time steps also share the solver's
-    cached Schur factor.  Otherwise each increment splits A on first use.
-    """
-
-    def __init__(self, real: Realization, A: sp.csr_matrix | None = None, split: bool = False):
-        self.real = real
-        self.dofmap = DofMap(real.L)
-        self.A = assemble_operator(real, dofmap=self.dofmap) if A is None else A
-        self.basis = LoadBasis.of(real, self.dofmap)
-        self.blocks = OperatorBlocks.split(self.A, self.dofmap.n) if split else None
-
-    def increment(self, F, p_prev: np.ndarray | None = None) -> IncrementProblem:
-        """The increment problem at macro strain F from plastic strains p_prev (default 0)."""
-        if p_prev is None:
-            p_prev = np.zeros(self.dofmap.n)
-        return IncrementProblem(
-            A=self.A,
-            f=self.basis.load(F),
-            r=self.real.sy,
-            p_prev=np.asarray(p_prev, dtype=float),
-            dofmap=self.dofmap,
-            blocks=self.blocks,
-        )
-
-    def stress(self, state: RveState, F) -> np.ndarray:
-        """Cell-averaged stress of ``state`` at macro strain F (``LoadBasis.stress``)."""
-        return self.basis.stress(self.dofmap.pack(state), F)
-
-
 def build_increment(
     real: Realization,
     F,
@@ -376,12 +273,22 @@ def build_increment(
 ) -> IncrementProblem:
     """Assemble the increment problem for macro strain F.
 
+    ``p_prev`` holds the plastic strains of the previous step (default 0).
     Pass the operator of a previous increment as ``A`` to reuse it: the
     Hessian does not depend on F or the plastic history.
     """
     if real.L < 2:
         raise ValueError(f"increment problems need L >= 2, got L={real.L}")
-    return IncrementBuilder(real, A=A).increment(F, p_prev)
+    cell = cell_structure(real.L)
+    return IncrementProblem(
+        A=assemble_operator(real) if A is None else A,
+        f=assemble_load(real, F),
+        r=real.sy,
+        p_prev=np.zeros(cell.dofmap.n) if p_prev is None else np.asarray(p_prev, dtype=float),
+        a=real.a,
+        h=real.h,
+        cell=cell,
+    )
 
 
 def increment_energy(prob: IncrementProblem, y) -> float:

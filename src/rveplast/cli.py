@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import types
@@ -110,6 +111,8 @@ class RunConfig:
             if not _has_type(value, hint):
                 kind = getattr(hint, "__name__", hint)
                 raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+            if not _is_finite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1)):
@@ -141,6 +144,13 @@ def _has_type(value, hint) -> bool:
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     return isinstance(value, hint)
+
+
+def _is_finite(value) -> bool:
+    """Whether every float in a config value, nested lists included, is finite."""
+    if isinstance(value, list):
+        return all(_is_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _config_keys() -> set[str]:
@@ -177,39 +187,40 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+# flags are the config keys with "_" spelled "-", except these
+_FLAG_SPELLING = {"L_max": "--Lmax"}
+_FLAG_HELP = {
+    "L": "cell side length",
+    "L_list": "comma-separated L values",
+    "L_max": "largest (reference) cell side",
+    "M": "number of Monte-Carlo samples",
+    "N": "number of time steps",
+    "T": "final time",
+    "seed": "master seed",
+    "out": "output directory",
+    "threads": f"worker threads (default ${THREADS_ENV} or 1)",
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
+    """One flag per config key except ``experiment`` (positional) and ``path`` (config only)."""
     parser = argparse.ArgumentParser(
         prog="rve-plast",
         description="Elastoplastic spring-network RVE studies (cyclic, monotonic, error scaling)",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file; flags override file values")
-    parser.add_argument("--L", type=int, dest="L", help="cell side length")
-    parser.add_argument("--L-list", type=_int_list, dest="L_list", help="comma-separated L values")
-    parser.add_argument("--Lmax", type=int, dest="L_max", help="largest (reference) cell side")
-    parser.add_argument("--M", type=int, dest="M", help="number of Monte-Carlo samples")
-    parser.add_argument("--N", type=int, dest="N", help="number of time steps")
-    parser.add_argument("--T", type=float, dest="T", help="final time")
-    parser.add_argument("--seed", type=int, dest="seed", help="master seed")
-    parser.add_argument("--amplitude", type=float, dest="amplitude")
-    parser.add_argument("--frequency", type=float, dest="frequency")
-    parser.add_argument("--rate", type=float, dest="rate")
-    parser.add_argument("--a-lo", type=float, dest="a_lo")
-    parser.add_argument("--a-hi", type=float, dest="a_hi")
-    parser.add_argument("--h-lo", type=float, dest="h_lo")
-    parser.add_argument("--h-hi", type=float, dest="h_hi")
-    parser.add_argument("--sy-lo", type=float, dest="sy_lo")
-    parser.add_argument("--sy-hi", type=float, dest="sy_hi")
-    parser.add_argument("--tol-increment", type=float, dest="tol_increment")
-    parser.add_argument("--tol-energy", type=float, dest="tol_energy")
-    parser.add_argument("--tol-residual", type=float, dest="tol_residual")
-    parser.add_argument("--max-outer", type=int, dest="max_outer")
-    parser.add_argument("--sys-window", type=_int_list, dest="sys_window")
-    parser.add_argument("--var-window", type=_int_list, dest="var_window")
-    parser.add_argument("--out", dest="out", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, dest="threads", help=f"worker threads (default ${THREADS_ENV} or 1)"
-    )
+    for name, hint in get_type_hints(RunConfig).items():
+        if name in ("experiment", "path"):
+            continue
+        if get_origin(hint) is types.UnionType:  # "X | None"
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        parser.add_argument(
+            _FLAG_SPELLING.get(name, "--" + name.replace("_", "-")),
+            type=_int_list if hint == list[int] else hint,
+            dest=name,
+            help=_FLAG_HELP.get(name),
+        )
     return parser
 
 
@@ -304,14 +315,17 @@ def write_slopes(path: Path, slopes) -> None:
 
 
 def _make_path(config: RunConfig) -> StrainPath:
-    if config.experiment == "cyclic":
-        return cyclic_path(config.amplitude, config.frequency, config.N, config.T)
-    if config.experiment == "custom-path":
-        rows = np.asarray(config.path, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise ConfigError("path rows must be [t, F11, F12, F22]")
-        return StrainPath(rows[:, 0], rows[:, 1:])
-    return monotonic_path(config.rate, config.N, config.T)
+    try:
+        if config.experiment == "cyclic":
+            return cyclic_path(config.amplitude, config.frequency, config.N, config.T)
+        if config.experiment == "custom-path":
+            rows = np.asarray(config.path, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != 4:
+                raise ConfigError("path rows must be [t, F11, F12, F22]")
+            return StrainPath(rows[:, 0], rows[:, 1:])
+        return monotonic_path(config.rate, config.N, config.T)
+    except ValueError as err:  # StrainPath rejects the path; a ConfigError is a ValueError too
+        raise ConfigError(f"bad strain path: {err}") from err
 
 
 def run(config: RunConfig) -> int:

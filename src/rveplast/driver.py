@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DofMap, IncrementBuilder, LoadBasis, RveState
+from .assembly import (
+    IncrementProblem,
+    RveState,
+    assemble_load,
+    assemble_operator,
+    cell_structure,
+)
 from .lattice import K, SymTensor2, ps_adjoint
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
@@ -95,12 +101,11 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.
 
     s_alpha = L^-2 sum over type-alpha edges of
-    a_e ((ps_map F)_alpha + g_e(phi) - p_e), evaluated with the load basis
-    (``LoadBasis.stress``).  The displacements of ``state`` vanish at the
-    clamped corners, as in every state the solver returns.
+    a_e ((ps_map F)_alpha + g_e(phi) - p_e) (``CellStructure.stress``).
+    The displacements of ``state`` vanish at the clamped corners, as in
+    every state the solver returns.
     """
-    dofmap = DofMap(real.L)
-    return LoadBasis.of(real, dofmap).stress(dofmap.pack(state), F)
+    return cell_structure(real.L).stress(real.a, state, F)
 
 
 def plastic_fraction(state: RveState) -> np.ndarray:
@@ -128,9 +133,12 @@ def run_path(
 
     Returns one (state, record) pair per time stamp, the first being the
     zero state at t=0.  Pass a list as ``reports`` to collect the solver
-    report of every increment.
+    report of every increment.  The increments share one operator and one
+    Schur factor cache.
     """
-    cell = IncrementBuilder(real, split=True)
+    cell = cell_structure(real.L)
+    A = assemble_operator(real)
+    schur_factor: dict = {}
     state = RveState.zero(real.L)
     out = [
         (
@@ -147,15 +155,16 @@ def run_path(
     ]
     for l in range(1, path.n_steps + 1):
         F = path.tensor(l)
+        prob = IncrementProblem(
+            A, assemble_load(real, F), real.sy, state.p, real.a, real.h, cell, schur_factor
+        )
         try:
-            state, report = solve_increment(
-                cell.increment(F, state.p), warm_start=state, settings=settings
-            )
+            state, report = solve_increment(prob, warm_start=state, settings=settings)
         except SolverError as err:
             raise PathError(f"solver failed at step {l} (t={path.times[l]})", l, err) from err
         if reports is not None:
             reports.append(report)
-        s = cell.stress(state, F)
+        s = stress_vector(real, state, F)
         out.append(
             (
                 state,

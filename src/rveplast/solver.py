@@ -1,17 +1,18 @@
 """Minimization of the nonsmooth convex increment functional.
 
-The plastic block of the Hessian is diagonal (``OperatorBlocks``), so at
-fixed displacements phi each plastic strain minimizes its own scalar
-problem in closed form: p*(phi) is the return map of the edge strain.  An
-edge is stuck while its driving force stays within its dissipation weight;
-then p*_e = p_prev_e, bitwise.  The reduced energy E(phi) = J(p*(phi), phi)
-is convex and C^1 with a piecewise-constant Hessian, the Schur complement
-S(w) = Q - C diag(w) C.T with w = 1/d on the flowing edges and 0 on the
-stuck ones.  The solver runs semismooth Newton on E (the primal-dual active
-set method): each step solves S(w) dphi = -grad E(phi) and backtracks along
-phi, every trial point being (p*(phi + s dphi), phi + s dphi).  S is one
-sparse matrix-vector product onto a fixed pattern; only its factor is made
-during the solve, and kept while the flowing set repeats.
+A plastic strain couples only with itself and the displacements of its own
+edge (``assembly``), so at fixed displacements phi each plastic strain
+minimizes its own scalar problem in closed form: p*(phi) is the return map
+of the edge strain.  An edge is stuck while its driving force stays within
+its dissipation weight; then p*_e = p_prev_e, bitwise.  The reduced energy
+E(phi) = J(p*(phi), phi) is convex and C^1 with a piecewise-constant
+Hessian, the Schur complement S(k) = G.T diag(k) G with k = a h / (a + h)
+on the flowing edges and k = a on the stuck ones.  The solver runs
+semismooth Newton on E (the primal-dual active set method): each step
+solves S(k) dphi = -grad E(phi) and backtracks along phi, every trial point
+being (p*(phi + s dphi), phi + s dphi).  S is one sparse matrix-vector
+product onto a fixed pattern; only its factor is made during the solve, and
+kept while the flowing set repeats.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -28,8 +29,8 @@ first: a full Newton step (s = 1) was accepted and its end point has the
 same side pattern as the point the step was computed at (which edges are
 stuck, and on which side of p_prev each flowing edge lies).  On one side
 pattern p*(phi) is affine in phi, so E is quadratic there with the Hessian
-S(w) the step was solved with, and grad E(phi + dphi) = grad E(phi) +
-S(w) dphi = 0 up to round-off: the full step lands on the minimizer, and a
+S(k) the step was solved with, and grad E(phi + dphi) = grad E(phi) +
+S(k) dphi = 0 up to round-off: the full step lands on the minimizer, and a
 further step would only confirm it.  In every other case the solve stops
 once the accepted step is small and the energy has stagnated.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import IncrementProblem, OperatorBlocks, RveState, increment_energy
+from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
@@ -89,15 +90,17 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-def _return_map(prob: IncrementProblem, blocks: OperatorBlocks, phi: np.ndarray) -> np.ndarray:
+def _return_map(prob: IncrementProblem, phi: np.ndarray) -> np.ndarray:
     """p*(phi): the plastic strains that minimize the increment at fixed phi.
 
-    Edge by edge, d_e p_e + c_e is the driving force with c = C.T phi - f_p;
-    a stuck edge (|d_e p_prev_e + c_e| <= r_e) returns p_prev_e itself.
+    Edge by edge, d_e p_e + c_e is the driving force with d = a + h and
+    c = -a G phi - f_p; a stuck edge (|d_e p_prev_e + c_e| <= r_e) returns
+    p_prev_e itself.
     """
-    c = blocks.coupling_t @ phi - prob.f[: prob.dofmap.n]
-    g = blocks.diag * prob.p_prev + c
-    return np.where(np.abs(g) <= prob.r, prob.p_prev, (np.copysign(prob.r, g) - c) / blocks.diag)
+    d = prob.a + prob.h
+    c = -(prob.a * (prob.cell.G @ phi)) - prob.f[: prob.dofmap.n]
+    g = d * prob.p_prev + c
+    return np.where(np.abs(g) <= prob.r, prob.p_prev, (np.copysign(prob.r, g) - c) / d)
 
 
 def _side(prob: IncrementProblem, y: np.ndarray, smooth: np.ndarray) -> np.ndarray:
@@ -127,21 +130,22 @@ def _energy_change(prob: IncrementProblem, y: np.ndarray, z: np.ndarray, g: np.n
     return prob.scale * (smooth + prob.r @ rough)
 
 
-def _schur_factor(blocks: OperatorBlocks, flowing: np.ndarray, w: np.ndarray) -> spla.SuperLU:
-    """LU of S = Q - C diag(w) C.T for the flowing plastic DOFs ``flowing``.
+def _schur_factor(prob: IncrementProblem, flowing: np.ndarray) -> spla.SuperLU:
+    """LU of S(k) = G.T diag(k) G for the flowing plastic DOFs ``flowing``.
 
     S depends on the flowing set alone, so the last factor is reused for as
-    long as the set repeats (across Newton steps and increments).
+    long as the set repeats (across Newton steps and the increments that
+    share ``prob.schur_factor``).
     """
     key = flowing.tobytes()
-    cache = blocks.schur_factor
+    cache = prob.schur_factor
     if cache.get("last", (None,))[0] == key:
         return cache["last"][1]
     # free the old factor before making the new one: holding both fragments
     # the heap and raised the peak RSS of one L=30 path run from 68 to 80 MB
     cache.clear()
     lu = spla.splu(
-        blocks.schur(w),
+        prob.cell.schur(prob.a, prob.h, flowing),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -186,9 +190,8 @@ def solve_increment(
     settings = settings or SolverSettings()
     dofmap = prob.dofmap
     n = dofmap.n
-    blocks = prob.operator_blocks()
     phi = dofmap.pack(warm_start)[n:] if warm_start is not None else np.zeros(dofmap.m)
-    y = np.concatenate([_return_map(prob, blocks, phi), phi])
+    y = np.concatenate([_return_map(prob, phi), phi])
     smooth = prob.r == 0.0
 
     report = SolveReport()
@@ -200,19 +203,18 @@ def solve_increment(
         report.iterations = it
         g = prob.A @ y - prob.f
         flowing = side != 0.0
-        w = np.where(flowing, 1.0 / blocks.diag, 0.0)
         d_phi = np.zeros(dofmap.m)
         if dofmap.m:
             # no local name for the factor: the cache frees it before the next
             # one is made, which keeps the peak RSS down
             try:
-                d_phi = _schur_factor(blocks, flowing, w).solve(-g[n:])
+                d_phi = _schur_factor(prob, flowing).solve(-g[n:])
             except RuntimeError as err:
                 raise SolverError(f"Schur complement not factorizable: {err}", report) from err
 
         for step in _STEPS:
             phi = y[n:] + step * d_phi
-            z = np.concatenate([_return_map(prob, blocks, phi), phi])
+            z = np.concatenate([_return_map(prob, phi), phi])
             change = _energy_change(prob, y, z, g)
             if change <= 0.0:
                 step_norm = float(np.max(np.abs(z - y), initial=0.0))

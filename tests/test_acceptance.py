@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from rveplast.assembly import IncrementProblem, build_increment, increment_energy
+from rveplast.assembly import build_increment, increment_energy
 from rveplast.driver import cyclic_path, monotonic_path, run_path
 from rveplast.lattice import SymTensor2
 from rveplast.randfield import MaterialLaw, sample
@@ -118,12 +118,8 @@ def test_c02_brute_force_equivalence():
             worst_dof = max(worst_dof, diff)
             # chain a second random strain increment from the plastic state
             p_prev = state.p
-            prob = IncrementProblem(
-                A=prob.A,
-                f=build_increment(real, SymTensor2(*rng.normal(scale=5e-3, size=3)), A=prob.A).f,
-                r=prob.r,
-                p_prev=p_prev,
-                dofmap=prob.dofmap,
+            prob = build_increment(
+                real, SymTensor2(*rng.normal(scale=5e-3, size=3)), p_prev=p_prev, A=prob.A
             )
     elapsed = time.perf_counter() - t0
     assert worst_energy <= 1e-9

@@ -1,19 +1,20 @@
 """Assembled operator, load vector, clamping, and the energy identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rveplast.assembly import (
+    CellStructure,
     DofMap,
-    IncrementBuilder,
-    IncrementProblem,
-    OperatorBlocks,
     RveState,
     assemble_load,
     assemble_operator,
     build_increment,
+    cell_structure,
     corner_nodes,
     increment_energy,
 )
@@ -115,8 +116,8 @@ class TestOperator:
 
     def test_unclamped_form_invariant_under_constant_shift(self):
         real = sample(LAW, 4, 1, 4)
-        A = assemble_operator(real, clamped=False)
-        dm = DofMap(4, clamped=False)
+        cell = CellStructure(4, clamped=False)
+        A, dm = cell.operator(real.a, real.h), cell.dofmap
         rng = np.random.default_rng(7)
         state = random_state(dm, rng)
         shifted = RveState(state.p.copy(), state.phi + np.array([0.37, -1.2]))
@@ -207,7 +208,7 @@ def edge_derivatives(state, L):
 
 
 class TestLoadBasis:
-    """assemble_load and stress_vector (both made from the load basis) edge by edge."""
+    """assemble_load and stress_vector (both made from G) edge by edge."""
 
     F = SymTensor2(1.2e-3, -0.9e-3, 0.4e-3)  # F12 != 0 loads the diagonal edges apart
 
@@ -239,44 +240,61 @@ class TestLoadBasis:
             assert np.all(np.abs(stress_vector(real, state, self.F) - expected) <= tol)
 
     def test_builder_shares_operator_and_blocks(self):
+        # a given A is reused, and every increment of a cell size reads the
+        # same structure
         real = sample(LAW, 60, 1, 4)
         A = assemble_operator(real)
-        prob = IncrementBuilder(real, A=A).increment(self.F)
-        assert prob.A is A and prob.blocks is None and np.all(prob.p_prev == 0.0)
-        cell = IncrementBuilder(real, split=True)
-        first, second = cell.increment(self.F), cell.increment(SymTensor2.zero())
-        assert first.blocks is not None and second.blocks is first.blocks
+        prob = build_increment(real, self.F, A=A)
+        assert prob.A is A and np.all(prob.p_prev == 0.0)
+        second = build_increment(real, SymTensor2.zero())
+        assert second.cell is prob.cell and second.schur_factor is not prob.schur_factor
 
 
-def split_blocks(L, seed=13):
+class TestCellStructure:
+    def test_one_read_only_structure_per_cell_size(self):
+        # worker threads share the structure: it is made once per L and
+        # nobody may write to it
+        cell_structure.cache_clear()
+        first = build_increment(sample(LAW, 61, 1, 5), SymTensor2.zero()).cell
+        second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
+        assert second is first and cell_structure.cache_info().misses == 1
+        arrays = [first.dofmap.phi_dof]
+        for mat in (first.G, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
+            arrays += [mat.data, mat.indices, mat.indptr]
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError):
+            first.G.data[0] = 0.0
+
+
+def schur_setup(L, seed=13):
     real = sample(LAW, seed, 1, L)
-    dm = DofMap(L)
-    A = assemble_operator(real, dofmap=dm)
-    return A, dm.n, OperatorBlocks.split(A, dm.n)
+    return real, assemble_operator(real), DofMap(L).n, cell_structure(L)
 
 
 class TestOperatorBlocks:
+    """The Schur complement of A's plastic block, S = Q - C diag(w) C.T, against its dense form."""
+
     @pytest.mark.parametrize("L", [2, 3, 6])
     @pytest.mark.parametrize("active", ["empty", "full", "random"])
     def test_schur_matches_dense(self, L, active):
-        A, n, blocks = split_blocks(L)
+        real, A, n, cell = schur_setup(L)
         mask = {
             "empty": np.zeros(n, dtype=bool),
             "full": np.ones(n, dtype=bool),
             "random": np.random.default_rng(L).random(n) < 0.5,
         }[active]
-        w = np.where(mask, 1.0 / blocks.diag, 0.0)
         dense = A.toarray()
+        w = np.where(mask, 1.0 / np.diag(dense)[:n], 0.0)
         Q, C = dense[n:, n:], dense[n:, :n]
         expected = Q - C @ np.diag(w) @ C.T
-        S = blocks.schur(w)
+        S = cell.schur(real.a, real.h, mask)
         assert S.shape == Q.shape
         scale = np.abs(expected).max(initial=0.0)
         assert np.abs(S.toarray() - expected).max(initial=0.0) <= 1e-13 * scale
 
     def test_schur_map_has_at_most_16_entries_per_plastic_dof(self):
-        _, n, blocks = split_blocks(6)
-        per_dof = np.diff(blocks.schur_map.tocsc().indptr)
+        _, _, n, cell = schur_setup(6)
+        per_dof = np.diff(cell.schur_map.tocsc().indptr)
         assert per_dof.size == n and per_dof.max() == 16
 
 
@@ -289,9 +307,7 @@ class TestIncrementEnergy:
     def test_elastic_limit_minimizer_solves_linear_system(self):
         real = sample(LAW, 11, 1, 4)
         prob = build_increment(real, SymTensor2(2e-3, 0.0, 1e-3))
-        elastic = IncrementProblem(
-            A=prob.A, f=prob.f, r=np.zeros_like(prob.r), p_prev=prob.p_prev, dofmap=prob.dofmap
-        )
+        elastic = replace(prob, r=np.zeros_like(prob.r))
         y_exact = spla.spsolve(sp.csc_matrix(prob.A), prob.f)
         e_exact = increment_energy(elastic, y_exact)
         rng = np.random.default_rng(0)

@@ -1,12 +1,15 @@
 """Configuration parsing, experiment runner, CSV round trips."""
 
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from rveplast.cli import (
     RunConfig,
+    build_arg_parser,
     main,
     parse_config,
     read_trajectories,
@@ -67,6 +70,24 @@ class TestParseConfig:
     def test_L_list_bounds(self):
         with pytest.raises(ConfigError):
             parse_config(["error-study", "--L-list", "1,6", "--Lmax", "8"])
+
+    def test_one_flag_per_config_key(self):
+        # the README promises that flags mirror the config keys one-to-one
+        parser = build_arg_parser()
+        flags = {}
+        for action in parser._actions:
+            flags.setdefault(action.dest, []).extend(action.option_strings)
+        keys = {f.name for f in fields(RunConfig)} - {"experiment", "path"}
+        assert set(flags) - {"help", "config", "experiment"} == keys
+        samples = {int: ("3", 3), float: ("0.25", 0.25), str: ("x", "x")}
+        for key, hint in get_type_hints(RunConfig).items():
+            if key not in keys:
+                continue
+            (flag,) = flags[key]
+            text, value = samples.get(hint, ("6,10", [6, 10]))
+            args = vars(parser.parse_args(["cyclic", flag, text]))
+            assert args[key] == value
+            assert all(v is None for k, v in args.items() if k not in (key, "experiment"))
 
 
 class TestRun:
@@ -158,6 +179,12 @@ class TestMain:
             ["cyclic", "--L", "1"],
             ["error-study", "--Lmax", "1"],
             ["cyclic", "--threads", "-3"],
+            ["cyclic", "--T", "nan"],
+            ["cyclic", "--T", "inf"],
+            ["cyclic", "--amplitude", "nan"],
+            ["cyclic", "--frequency", "inf"],
+            ["monotonic", "--rate", "nan"],
+            ["cyclic", "--tol-residual", "nan"],
         ],
     )
     def test_bad_flags_exit_code(self, args, tmp_path, capsys):
@@ -174,6 +201,9 @@ class TestMain:
             {"L_list": 6},
             {"L_list": [6, 10.0]},
             {"path": [[0.0, 0.0, 0.0, "x"]]},
+            {"T": float("nan")},
+            {"path": [[0.0, 0.0, 0.0, 0.0], [1.0, 1e-3, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]},
+            {"path": [[0.0, 1e-3, 0.0, 0.0], [1.0, 2e-3, 0.0, 0.0]]},
         ],
     )
     def test_bad_config_value_type_exit_code(self, values, tmp_path, capsys):

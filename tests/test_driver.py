@@ -135,8 +135,9 @@ class TestRunPath:
             assert ra.energy == rb.energy
 
     def test_increments_match_build_increment(self, monkeypatch):
-        # run_path and build_increment make their increments with one builder:
-        # the same load bitwise, the previous step's plastic strains, the same A
+        # run_path and build_increment make the same increments: the same load
+        # bitwise, the previous step's plastic strains, the same A; the steps
+        # of one path share one Schur factor cache
         solve = rveplast.driver.solve_increment
         problems = []
 
@@ -156,7 +157,8 @@ class TestRunPath:
             assert np.array_equal(prob.p_prev, expected.p_prev)
             assert np.array_equal(prob.r, expected.r)
             assert (prob.A != expected.A).nnz == 0
-            assert prob.blocks is problems[0].blocks is not None
+            assert prob.schur_factor is problems[0].schur_factor
+        assert problems[0].schur_factor  # holds the path's last factor
 
     def test_fraction_monotone_under_monotone_load(self):
         real = sample(LAW, 4, 1, 6)

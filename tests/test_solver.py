@@ -1,5 +1,7 @@
 """Return map, Newton steps and the increment solve."""
 
+from dataclasses import replace
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,12 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rveplast.assembly import (
-    IncrementProblem,
-    RveState,
-    build_increment,
-    increment_energy,
-)
+from rveplast.assembly import RveState, build_increment, increment_energy
 from rveplast.lattice import SymTensor2, edge_strains, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.reference import brute_force_increment, return_map, SpringParams
@@ -34,19 +31,13 @@ def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0):
     F = SymTensor2(*rng.normal(scale=scale, size=3))
     prob = build_increment(real, F)
     if p_prev_scale:
-        prob = IncrementProblem(
-            A=prob.A,
-            f=prob.f,
-            r=prob.r,
-            p_prev=rng.normal(scale=p_prev_scale, size=prob.dofmap.n),
-            dofmap=prob.dofmap,
-        )
+        prob = replace(prob, p_prev=rng.normal(scale=p_prev_scale, size=prob.dofmap.n))
     return prob
 
 
 def with_weights(prob, r):
     """The same increment with dissipation weights r."""
-    return IncrementProblem(A=prob.A, f=prob.f, r=r, p_prev=prob.p_prev, dofmap=prob.dofmap)
+    return replace(prob, r=r)
 
 
 class TestReturnMap:
@@ -57,7 +48,7 @@ class TestReturnMap:
         F = SymTensor2(*rng.normal(scale=5e-4, size=3))
         prob = build_increment(real, F, p_prev=rng.normal(scale=3e-4, size=3 * L**2))
         phi = rng.normal(scale=3e-4, size=prob.dofmap.m)
-        p = _return_map(prob, prob.operator_blocks(), phi)
+        p = _return_map(prob, phi)
 
         state = prob.dofmap.unpack(np.concatenate([np.zeros(prob.dofmap.n), phi]))
         strain = (ps_map(F)[:, None] + edge_strains(state.phi, prob.dofmap.lattice)).ravel()
@@ -106,7 +97,7 @@ class TestNewtonCorrection:
             warm = prob.dofmap.unpack(rng.normal(scale=1e-2, size=prob.dofmap.total))
             _, report = solve_increment(prob, warm_start=warm)
             phi0 = prob.dofmap.pack(warm)[prob.dofmap.n :]
-            start = np.concatenate([_return_map(prob, prob.operator_blocks(), phi0), phi0])
+            start = np.concatenate([_return_map(prob, phi0), phi0])
             assert report.energies[0] == increment_energy(prob, start)
             assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
 
@@ -118,9 +109,7 @@ class TestNewtonCorrection:
         warm1 = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
         warm2 = prob.dofmap.unpack(rng.normal(scale=1e-5, size=prob.dofmap.total))
         for warm in (warm1, warm1, warm2, warm1):
-            fresh = IncrementProblem(
-                A=prob.A, f=prob.f, r=prob.r, p_prev=prob.p_prev, dofmap=prob.dofmap
-            )
+            fresh = replace(prob, schur_factor={})
             expected, rep_fresh = solve_increment(fresh, warm_start=warm)
             state, report = solve_increment(prob, warm_start=warm)
             assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
