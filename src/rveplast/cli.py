@@ -74,8 +74,6 @@ class RunConfig:
     h_hi: float = 2.0e6
     sy_lo: float = 0.9e3
     sy_hi: float = 1.1e3
-    tol_increment: float = 1e-10
-    tol_energy: float = 1e-12
     tol_residual: float = 1e-9
     max_outer: int = 500
     sys_window: list[int] | None = None
@@ -88,12 +86,7 @@ class RunConfig:
         return MaterialLaw((self.a_lo, self.a_hi), (self.h_lo, self.h_hi), (self.sy_lo, self.sy_hi))
 
     def solver_settings(self) -> SolverSettings:
-        return SolverSettings(
-            tol_increment=self.tol_increment,
-            tol_energy=self.tol_energy,
-            tol_residual=self.tol_residual,
-            max_outer=self.max_outer,
-        )
+        return SolverSettings(tol_residual=self.tol_residual, max_outer=self.max_outer)
 
     def effective_threads(self) -> int:
         if self.threads > 0:
@@ -129,6 +122,10 @@ class RunConfig:
             bad = [L for L in self.L_list if not 2 <= L <= self.L_max]
             if bad:
                 raise ConfigError(f"L_list entries must lie in [2, L_max]: {bad}")
+        for key in ("sys_window", "var_window"):
+            window = getattr(self, key)
+            if window is not None and (len(window) != 2 or window[0] > window[1]):
+                raise ConfigError(f"{key} must be two cell sizes lo,hi with lo <= hi, got {window}")
         self.law()  # validates the intervals
         self.solver_settings()
         if self.experiment == "custom-path" and not self.path:

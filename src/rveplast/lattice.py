@@ -64,11 +64,6 @@ class SymTensor2:
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
-    def __mul__(self, c: float) -> "SymTensor2":
-        return SymTensor2(c * self.a11, c * self.a12, c * self.a22)
-
-    __rmul__ = __mul__
-
 
 class PeriodicLattice:
     """Node/edge indexing of the periodic triangular cell of side L."""

@@ -54,12 +54,6 @@ class MaterialLaw:
         """Degenerate law: every edge carries exactly (a, h, sigma_y)."""
         return cls((a, a), (h, h), (sigma_y, sigma_y))
 
-    @classmethod
-    def midpoint_of(cls, law: "MaterialLaw") -> "MaterialLaw":
-        """Point-mass law at the interval midpoints of ``law``."""
-        mid = lambda iv: 0.5 * (iv[0] + iv[1])
-        return cls.point_mass(mid(law.a), mid(law.h), mid(law.sigma_y))
-
 
 @dataclass(frozen=True)
 class Realization:

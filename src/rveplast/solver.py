@@ -23,16 +23,15 @@ step and stalls the solver.  The recorded energy sequence starts at the
 energy of (p*(phi_0), phi_0) and adds each accepted change, so it is
 nonincreasing by construction.
 
-The solve stops at a point whose optimality residual of the full problem is
-within its tolerance, tested in two cases.  Most increments end on the
-first: a full Newton step (s = 1) was accepted and its end point has the
-same side pattern as the point the step was computed at (which edges are
-stuck, and on which side of p_prev each flowing edge lies).  On one side
-pattern p*(phi) is affine in phi, so E is quadratic there with the Hessian
-S(k) the step was solved with, and grad E(phi + dphi) = grad E(phi) +
-S(k) dphi = 0 up to round-off: the full step lands on the minimizer, and a
-further step would only confirm it.  In every other case the solve stops
-once the accepted step is small and the energy has stagnated.
+The solve has one exit: a point whose optimality residual of the full
+problem is within tol_residual (1 + max|f|).  The residual is read from
+g = A y - f, which the Newton step at the same point needs anyway, so each
+step costs no extra product.  On one side pattern (which edges are stuck,
+and on which side of p_prev each flowing edge lies) p*(phi) is affine in
+phi and E is quadratic with the Hessian S(k) of the step, so a full step
+that keeps the pattern lands on the minimizer and the next certificate
+ends the solve.  A line search that finds no descent raises at once: the
+iteration is deterministic, and repeating the step would repeat it.
 """
 
 from __future__ import annotations
@@ -50,14 +49,12 @@ _STEPS = [0.5**k for k in range(54)]
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tol_increment: float = 1e-10  # relative step norm
-    tol_energy: float = 1e-12  # relative energy stagnation
     tol_residual: float = 1e-9  # optimality residual, relative to 1 + max|f|
     max_outer: int = 500  # Newton steps
 
     def __post_init__(self):
-        if self.tol_increment <= 0 or self.tol_energy <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -66,8 +63,10 @@ class SolverSettings:
 class SolveReport:
     """Diagnostics of one increment solve.
 
-    ``iterations`` counts Newton steps.  Only the displacements phi_0 of the
-    warm start are read: ``energies[0]`` is ``increment_energy`` at
+    ``residual`` is the optimality residual of the returned point (of the
+    last point reached, if the solve failed).  ``iterations`` counts the
+    Newton steps taken: 0 if the warm start already passes the certificate.
+    Only the displacements phi_0 of the warm start are read: ``energies[0]`` is ``increment_energy`` at
     (p*(phi_0), phi_0), and each later entry adds the difference-form energy
     change of one accepted step, so the sequence is nonincreasing and
     ``energy`` (its last entry) equals ``increment_energy`` of the returned
@@ -101,14 +100,6 @@ def _return_map(prob: IncrementProblem, phi: np.ndarray) -> np.ndarray:
     c = -(prob.a * (prob.cell.G @ phi)) - prob.f[: prob.dofmap.n]
     g = d * prob.p_prev + c
     return np.where(np.abs(g) <= prob.r, prob.p_prev, (np.copysign(prob.r, g) - c) / d)
-
-
-def _side(prob: IncrementProblem, y: np.ndarray, smooth: np.ndarray) -> np.ndarray:
-    """sign(p_e - p_prev_e) per edge: 0 stuck, +-1 flowing; +1 on edges without dissipation.
-
-    An edge with r_e = 0 is never stuck: its return map is linear in phi.
-    """
-    return np.where(smooth, 1.0, np.sign(y[: prob.dofmap.n] - prob.p_prev))
 
 
 def _energy_change(prob: IncrementProblem, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> float:
@@ -154,6 +145,18 @@ def _schur_factor(prob: IncrementProblem, flowing: np.ndarray) -> spla.SuperLU:
     return lu
 
 
+def _certificate(prob: IncrementProblem, y: np.ndarray, g: np.ndarray) -> float:
+    """``optimality_residual`` at the vector y, given g = A y - f."""
+    n = prob.dofmap.n
+    dp = y[:n] - prob.p_prev
+    viol_p = np.where(
+        dp == 0.0,
+        np.maximum(np.abs(g[:n]) - prob.r, 0.0),
+        np.abs(g[:n] + prob.r * np.sign(dp)),
+    )
+    return float(max(viol_p.max(initial=0.0), np.abs(g[n:]).max(initial=0.0)))
+
+
 def optimality_residual(prob: IncrementProblem, y) -> float:
     """Max violation of the first-order conditions of the increment.
 
@@ -162,17 +165,7 @@ def optimality_residual(prob: IncrementProblem, y) -> float:
     off the kink: |(A y - f)_i + r_i sign(p_i - p_prev_i)|.
     """
     yv = prob.as_vector(y)
-    n = prob.dofmap.n
-    g = prob.A @ yv - prob.f
-    dp = yv[:n] - prob.p_prev
-    at_kink = dp == 0.0
-    viol_p = np.where(
-        at_kink,
-        np.maximum(np.abs(g[:n]) - prob.r, 0.0),
-        np.abs(g[:n] + prob.r * np.sign(dp)),
-    )
-    viol_phi = np.abs(g[n:]) if prob.dofmap.m else np.zeros(1)
-    return float(max(viol_p.max(initial=0.0), viol_phi.max(initial=0.0)))
+    return _certificate(prob, yv, prob.A @ yv - prob.f)
 
 
 def solve_increment(
@@ -180,35 +173,41 @@ def solve_increment(
     warm_start: RveState | None = None,
     settings: SolverSettings | None = None,
 ) -> tuple[RveState, SolveReport]:
-    """Minimize the increment functional to the configured tolerances.
+    """Minimize the increment functional until the optimality certificate holds.
 
     Warm starting with the previous time step's state is the intended
     use; the default start is the zero state.  Only the warm start's
     displacements are read.  Raises SolverError with the diagnostic report
-    if max_outer Newton steps do not converge.
+    if max_outer Newton steps do not pass the certificate or a line search
+    finds no descent.
     """
     settings = settings or SolverSettings()
     dofmap = prob.dofmap
     n = dofmap.n
     phi = dofmap.pack(warm_start)[n:] if warm_start is not None else np.zeros(dofmap.m)
     y = np.concatenate([_return_map(prob, phi), phi])
-    smooth = prob.r == 0.0
+    smooth = prob.r == 0.0  # never stuck: the return map is linear in phi
 
     report = SolveReport()
     report.load_norm = float(np.max(np.abs(prob.f), initial=0.0))
     residual_gate = settings.tol_residual * (1.0 + report.load_norm)
     report.energies.append(increment_energy(prob, y))
-    side = _side(prob, y, smooth)
-    for it in range(1, settings.max_outer + 1):
-        report.iterations = it
+    failure = None
+    while True:
         g = prob.A @ y - prob.f
-        flowing = side != 0.0
+        report.residual = _certificate(prob, y, g)
+        if report.residual <= residual_gate:
+            break
+        if report.iterations == settings.max_outer:
+            failure = f"did not converge in {settings.max_outer} Newton steps"
+            break
+        report.iterations += 1
         d_phi = np.zeros(dofmap.m)
         if dofmap.m:
             # no local name for the factor: the cache frees it before the next
             # one is made, which keeps the peak RSS down
             try:
-                d_phi = _schur_factor(prob, flowing).solve(-g[n:])
+                d_phi = _schur_factor(prob, smooth | (y[:n] != prob.p_prev)).solve(-g[n:])
             except RuntimeError as err:
                 raise SolverError(f"Schur complement not factorizable: {err}", report) from err
 
@@ -217,31 +216,15 @@ def solve_increment(
             z = np.concatenate([_return_map(prob, phi), phi])
             change = _energy_change(prob, y, z, g)
             if change <= 0.0:
-                step_norm = float(np.max(np.abs(z - y), initial=0.0))
-                z_side = _side(prob, z, smooth)
-                exact = step == 1.0 and np.array_equal(z_side, side)
-                y, side = z, z_side
+                y = z
                 report.energies.append(report.energies[-1] + change)
                 break
         else:
-            # no descent along d_phi: keep the point
-            step_norm, change, exact = 0.0, 0.0, False
-
-        scale_y = 1.0 + float(np.max(np.abs(y), initial=0.0))
-        small_step = step_norm <= settings.tol_increment * scale_y
-        stagnated = -change <= settings.tol_energy * (1.0 + abs(report.energies[-1]))
-        if exact or (small_step and stagnated):
-            report.residual = optimality_residual(prob, y)
-            if report.residual <= residual_gate:
-                report.converged = True
-                break
+            failure = f"found no descent at Newton step {report.iterations}"
+            break
 
     report.energy = report.energies[-1]
-    if not report.converged:
-        report.residual = optimality_residual(prob, y)
-        raise SolverError(
-            f"increment solve did not converge in {settings.max_outer} Newton steps "
-            f"(residual {report.residual:.3e})",
-            report,
-        )
+    report.converged = failure is None
+    if failure is not None:
+        raise SolverError(f"increment solve {failure} (residual {report.residual:.3e})", report)
     return dofmap.unpack(y), report

@@ -10,7 +10,7 @@ smaller cell, which the position-keyed sampling makes exact.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class ErrorTable:
     mean: dict[int, np.ndarray]  # per L: (N+1, K) mean stress
     e_sys: dict[int, np.ndarray]  # per L: (N+1, K) |mean_L - mean_Lmax|
     variance: dict[int, np.ndarray]  # per L: (N+1, K) biased sample variance
-    slopes: list[SlopeFit] = field(default_factory=list)
     max_residual: float = 0.0
     max_residual_rel: float = 0.0
     energy_monotone: bool = True
@@ -241,7 +240,7 @@ def systematic_error_study(
         monotone = monotone and ens.energy_monotone
     for L in mean:
         e_sys[L] = np.abs(mean[L] - mean[L_max])
-    table = ErrorTable(
+    return ErrorTable(
         Ls=tuple(Ls),
         L_max=int(L_max),
         M=int(M),
@@ -255,8 +254,6 @@ def systematic_error_study(
         max_residual_rel=max_residual_rel,
         energy_monotone=monotone,
     )
-    table.slopes.extend(fit_scaling_slopes(table))
-    return table
 
 
 def systematic_reference(Ls, anchor: float) -> np.ndarray:

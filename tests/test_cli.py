@@ -185,6 +185,10 @@ class TestMain:
             ["cyclic", "--frequency", "inf"],
             ["monotonic", "--rate", "nan"],
             ["cyclic", "--tol-residual", "nan"],
+            ["variance-study", "--L-list", "2,3", "--Lmax", "3", "--var-window", "6"],
+            ["variance-study", "--L-list", "2,3", "--Lmax", "3", "--sys-window", "9,3,4"],
+            ["error-study", "--sys-window", "9,3"],
+            ["error-study", "--var-window", ""],
         ],
     )
     def test_bad_flags_exit_code(self, args, tmp_path, capsys):
@@ -204,6 +208,10 @@ class TestMain:
             {"T": float("nan")},
             {"path": [[0.0, 0.0, 0.0, 0.0], [1.0, 1e-3, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]},
             {"path": [[0.0, 1e-3, 0.0, 0.0], [1.0, 2e-3, 0.0, 0.0]]},
+            {"sys_window": [6]},
+            {"var_window": [10, 6]},
+            {"var_window": [6, 10, 14]},
+            {"tol_increment": 1e-10},
         ],
     )
     def test_bad_config_value_type_exit_code(self, values, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Strain paths, path evolution, stress extraction, plastic fractions."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rveplast.driver
 from rveplast.assembly import RveState, build_increment, increment_energy
@@ -15,10 +18,10 @@ from rveplast.driver import (
     run_path,
     stress_vector,
 )
-from rveplast.lattice import SymTensor2
+from rveplast.lattice import SymTensor2, ps_map
 from rveplast.randfield import MaterialLaw, restrict, sample
 from rveplast.reference import SpringParams, spring_trajectory
-from rveplast.solver import SolverSettings
+from rveplast.solver import SolverSettings, optimality_residual
 
 LAW = MaterialLaw()
 MID = MaterialLaw.point_mass(1.5e6, 1.625e6, 1.0e3)
@@ -247,3 +250,57 @@ class TestStallReplays:
             exact = increment_energy(prob, state)
             assert rec.energy == rep.energy
             assert abs(rep.energy - exact) <= 1e-12 * (1.0 + abs(exact))
+
+
+def _interval(low, high):
+    """(lo, hi) with lo in [low, high] and hi up to 3 lo."""
+    return st.tuples(st.floats(low, high), st.floats(1.0, 3.0)).map(lambda t: (t[0], t[0] * t[1]))
+
+
+@st.composite
+def reversal_paths(draw):
+    """Piecewise-linear (F11, F12, F22) paths from 0 whose every component changes sign at every corner."""
+    signs = np.array(draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3)))
+    corners = [np.zeros(3)]
+    for leg in range(draw(st.integers(2, 4))):
+        size = np.array(draw(st.tuples(*[st.floats(1e-4, 4e-3)] * 3)))
+        corners.append((-1.0) ** leg * signs * size)
+    rows = [corners[0]]
+    for start, end in zip(corners, corners[1:]):
+        n = draw(st.integers(1, 5))
+        rows += [start + (end - start) * k / n for k in range(1, n + 1)]
+    return StrainPath(np.arange(len(rows), dtype=float), np.array(rows))
+
+
+class TestReversalPaths:
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        L=st.sampled_from([2, 3]),
+        a=_interval(1e5, 2e6),
+        h=_interval(1e5, 2e6),
+        sy=_interval(1e2, 2e3),
+        seed=st.integers(0, 2**32 - 1),
+        path=reversal_paths(),
+    )
+    def test_paths_with_load_reversals(self, L, a, h, sy, seed, path):
+        # a point mass at the lower ends, and the random law on the intervals
+        point = MaterialLaw.point_mass(a[0], h[0], sy[0])
+        gate = SolverSettings().tol_residual
+        for law in (MaterialLaw(a, h, sy), point):
+            real = sample(law, seed, 1, L)
+            reports = []
+            records = run_path(real, path, reports=reports)
+            for l, rep in enumerate(reports, start=1):
+                prob = build_increment(real, path.tensor(l), p_prev=records[l - 1][0].p)
+                residual = optimality_residual(prob, records[l][0])
+                assert residual == rep.residual <= gate * (1.0 + rep.load_norm)
+                assert np.all(np.diff(rep.energies) <= 0.0)
+        # homogeneous cell (the last law): every type-alpha spring follows the
+        # scalar oracle at the strain (ps_map F)_alpha, and phi stays 0
+        strains = np.array([ps_map(path.tensor(l)) for l in range(path.n_steps + 1)])
+        params = SpringParams(a[0], h[0], sy[0])
+        for alpha in range(3):
+            _, s = spring_trajectory(params, strains[:, alpha])
+            for l, (state, rec) in enumerate(records):
+                assert np.all(state.phi == 0.0)
+                assert abs(rec.s[alpha] - s[l]) <= 1e-8 * (1 + abs(s[l]))

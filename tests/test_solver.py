@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rveplast.solver
 from rveplast.assembly import RveState, build_increment, increment_energy
 from rveplast.lattice import SymTensor2, edge_strains, ps_map
 from rveplast.randfield import MaterialLaw, sample
@@ -157,21 +158,18 @@ class TestSolveIncrement:
     def test_warm_start_invariance(self):
         # only the warm start's phi is read, so vary phi
         prob = random_problem(4, seed=82)
-        settings = SolverSettings()
         rng = np.random.default_rng(5)
-        state_cold, rep_cold = solve_increment(prob, settings=settings)
+        state_cold, rep_cold = solve_increment(prob)
         warm = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
         assert np.abs(warm.phi).max() > 0.0
-        state_warm, rep_warm = solve_increment(prob, warm_start=warm, settings=settings)
+        state_warm, rep_warm = solve_increment(prob, warm_start=warm)
         assert rep_warm.energies[0] > rep_cold.energies[0]  # a different start
-        assert abs(rep_cold.energy - rep_warm.energy) <= 2 * settings.tol_energy * (
-            1 + abs(rep_cold.energy)
-        )
+        assert abs(rep_cold.energy - rep_warm.energy) <= 2 * 1e-12 * (1 + abs(rep_cold.energy))
         diff = max(
             np.abs(state_cold.p - state_warm.p).max(),
             np.abs(state_cold.phi - state_warm.phi).max(),
         )
-        assert diff <= 10 * settings.tol_increment * (1 + np.abs(state_cold.p).max())
+        assert diff <= 10 * 1e-10 * (1 + np.abs(state_cold.p).max())
 
     def test_solution_improves_on_warm_start(self):
         prob = random_problem(3, seed=83, p_prev_scale=1e-4)
@@ -191,9 +189,22 @@ class TestSolveIncrement:
             solve_increment(prob, warm_start=warm, settings=SolverSettings(max_outer=1))
         assert excinfo.value.report.iterations == 1
 
+    def test_no_descent_raises_at_once(self, monkeypatch):
+        # the iteration is deterministic: a step the line search rejects would
+        # be rejected again, so the solve fails at the first one
+        prob = random_problem(4, seed=85)
+        monkeypatch.setattr(rveplast.solver, "_energy_change", lambda *args: 1.0)
+        with pytest.raises(SolverError, match="no descent") as excinfo:
+            solve_increment(prob)
+        report = excinfo.value.report
+        assert report.iterations == 1 and not report.converged
+        phi0 = np.zeros(prob.dofmap.m)
+        start = np.concatenate([_return_map(prob, phi0), phi0])
+        assert report.residual == optimality_residual(prob, start)  # the point is kept
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            SolverSettings(tol_increment=0.0)
+            SolverSettings(tol_residual=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_outer=0)
 
