@@ -54,7 +54,6 @@ from .stats import (
     loglog_slope,
     monte_carlo,
     numerical_slope,
-    sample_variance,
     systematic_error_study,
 )
 

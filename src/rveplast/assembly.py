@@ -41,14 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import D, EDGE_COEFF, K, PeriodicLattice, ps_map
+from .lattice import D, EDGE_COEFF, K, PeriodicLattice, ps_map, wrap_node
 from .randfield import Realization
 
 
 def corner_nodes(L: int) -> np.ndarray:
     """Clamped nodes: the distinct cell corners (all nodes when L <= 2)."""
-    lat = PeriodicLattice(L)
-    corners = {lat.node_index(x, y) for x in (0, L - 1) for y in (0, L - 1)}
+    corners = {wrap_node((x, y), L) for x in (0, L - 1) for y in (0, L - 1)}
     return np.array(sorted(corners), dtype=np.intp)
 
 
@@ -62,13 +61,6 @@ class RveState:
     @classmethod
     def zero(cls, L: int) -> "RveState":
         return cls(np.zeros(K * L**2), np.zeros((L**2, 2)))
-
-    @property
-    def L(self) -> int:
-        return int(np.sqrt(self.phi.shape[0]))
-
-    def copy(self) -> "RveState":
-        return RveState(self.p.copy(), self.phi.copy())
 
 
 class DofMap:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import types
 from dataclasses import dataclass, fields
@@ -38,8 +37,6 @@ from .stats import (
 )
 
 EXPERIMENTS = ("cyclic", "monotonic", "error-study", "variance-study", "custom-path")
-
-THREADS_ENV = "RVE_PLAST_THREADS"
 
 TRAJECTORY_COLUMNS = ("sample_id", "l", "t", "F11", "s1", "s2", "s3", "R1", "R2", "R3", "energy")
 ERROR_COLUMNS = ("L", "l", "t", "F11", "alpha", "e_sys", "variance", "reference_scaling")
@@ -80,23 +77,13 @@ class RunConfig:
     var_window: list[int] | None = None
     path: list[list[float]] | None = None  # custom-path rows (t, F11, F12, F22)
     out: str = "."
-    threads: int = 0  # 0: take RVE_PLAST_THREADS or 1
+    threads: int = 1
 
     def law(self) -> MaterialLaw:
         return MaterialLaw((self.a_lo, self.a_hi), (self.h_lo, self.h_hi), (self.sy_lo, self.sy_hi))
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(tol_residual=self.tol_residual, max_outer=self.max_outer)
-
-    def effective_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if not env:
-            return 1
-        if not env.isdigit() or int(env) < 1:
-            raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
-        return int(env)
 
     def validate(self) -> None:
         for name, hint in get_type_hints(RunConfig).items():
@@ -108,28 +95,42 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1)):
+        bounds = (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1), ("threads", 1))
+        for key, low in bounds:
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0, got {self.threads}")
-        self.effective_threads()  # validates the environment value
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.L_list is not None:
             bad = [L for L in self.L_list if not 2 <= L <= self.L_max]
             if bad:
                 raise ConfigError(f"L_list entries must lie in [2, L_max]: {bad}")
-        for key in ("sys_window", "var_window"):
+        windows = (("sys_window", DEFAULT_SYS_WINDOW), ("var_window", DEFAULT_VAR_WINDOW))
+        for key, default in windows:
             window = getattr(self, key)
             if window is not None and (len(window) != 2 or window[0] > window[1]):
                 raise ConfigError(f"{key} must be two cell sizes lo,hi with lo <= hi, got {window}")
+            if self.experiment in ("error-study", "variance-study"):
+                # the sizes that fit_scaling_slopes fits: the study's, less the reference
+                Ls, L_max = _study_sizes(self)
+                lo, hi = window or default
+                if len({L for L in Ls if lo <= L <= hi and L != L_max}) < 2:
+                    raise ConfigError(
+                        f"{key} [{lo}, {hi}] must hold at least two cell sizes of {sorted(set(Ls))} "
+                        f"other than the reference size {L_max}"
+                    )
         self.law()  # validates the intervals
         self.solver_settings()
         if self.experiment == "custom-path" and not self.path:
             raise ConfigError("custom-path needs 'path' rows [t, F11, F12, F22] in the config")
+
+
+def _study_sizes(config: RunConfig) -> tuple[list[int], int]:
+    """Cell sizes and reference size of an error or variance study."""
+    Ls = config.L_list or _PRESETS[config.experiment]["L_list"]
+    return Ls, config.L_max if config.experiment == "error-study" else max(Ls)
 
 
 def _has_type(value, hint) -> bool:
@@ -195,7 +196,7 @@ _FLAG_HELP = {
     "T": "final time",
     "seed": "master seed",
     "out": "output directory",
-    "threads": f"worker threads (default ${THREADS_ENV} or 1)",
+    "threads": "worker threads",
 }
 
 
@@ -331,11 +332,10 @@ def run(config: RunConfig) -> int:
     out_dir = Path(config.out)
     law = config.law()
     settings = config.solver_settings()
-    threads = config.effective_threads()
     path = _make_path(config)
 
     if config.experiment in ("cyclic", "monotonic", "custom-path"):
-        ensemble = monte_carlo(law, config.L, config.M, config.seed, path, settings, threads)
+        ensemble = monte_carlo(law, config.L, config.M, config.seed, path, settings, config.threads)
         out_file = out_dir / f"{config.experiment}_trajectories.csv"
         write_trajectories(out_file, ensemble)
         final = ensemble.mean[-1]
@@ -346,11 +346,12 @@ def run(config: RunConfig) -> int:
         )
         return 0
 
-    Ls = config.L_list or _PRESETS[config.experiment]["L_list"]
-    L_max = config.L_max if config.experiment == "error-study" else max(Ls)
-    table = systematic_error_study(law, Ls, L_max, config.M, config.seed, path, settings, threads)
-    sys_window = tuple(config.sys_window) if config.sys_window else DEFAULT_SYS_WINDOW
-    var_window = tuple(config.var_window) if config.var_window else DEFAULT_VAR_WINDOW
+    Ls, L_max = _study_sizes(config)
+    table = systematic_error_study(
+        law, Ls, L_max, config.M, config.seed, path, settings, config.threads
+    )
+    sys_window = tuple(config.sys_window or DEFAULT_SYS_WINDOW)
+    var_window = tuple(config.var_window or DEFAULT_VAR_WINDOW)
     slopes = fit_scaling_slopes(table, sys_window, var_window)
     out_file = out_dir / f"{config.experiment}.csv"
     slope_file = out_dir / f"{config.experiment}_slopes.csv"

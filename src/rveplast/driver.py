@@ -21,7 +21,7 @@ from .assembly import (
     assemble_operator,
     cell_structure,
 )
-from .lattice import K, SymTensor2, ps_adjoint
+from .lattice import K, SymTensor2
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
 
@@ -54,36 +54,34 @@ class StrainPath:
         return SymTensor2(f11, f12, f22)
 
 
+def _uniaxial_path(f11, n_steps: int, t_end: float) -> StrainPath:
+    """Uniaxial loading F11 = f11(t) on n_steps equal steps of [0, t_end]."""
+    if n_steps < 1:
+        raise ValueError("need at least one time step")
+    t = np.linspace(0.0, t_end, n_steps + 1)
+    tensors = np.zeros((n_steps + 1, 3))
+    tensors[:, 0] = f11(t)
+    return StrainPath(t, tensors)
+
+
 def cyclic_path(
     amplitude: float = 3e-3, frequency: float = 8.0, n_steps: int = 50, t_end: float = 1.0
 ) -> StrainPath:
     """Uniaxial cyclic loading F11(t) = amplitude * sin(frequency * t)."""
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
-    t = np.linspace(0.0, t_end, n_steps + 1)
-    tensors = np.zeros((n_steps + 1, 3))
-    tensors[:, 0] = amplitude * np.sin(frequency * t)
-    return StrainPath(t, tensors)
+    return _uniaxial_path(lambda t: amplitude * np.sin(frequency * t), n_steps, t_end)
 
 
 def monotonic_path(rate: float = 0.0034, n_steps: int = 50, t_end: float = 1.0) -> StrainPath:
     """Uniaxial monotonic loading F11(t) = rate * t."""
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
-    t = np.linspace(0.0, t_end, n_steps + 1)
-    tensors = np.zeros((n_steps + 1, 3))
-    tensors[:, 0] = rate * t
-    return StrainPath(t, tensors)
+    return _uniaxial_path(lambda t: rate * t, n_steps, t_end)
 
 
 @dataclass(frozen=True)
 class StressRecord:
     """Cell-averaged response at one time step."""
 
-    t: float
     F: SymTensor2
     s: np.ndarray  # stress vector, one longitudinal component per edge type
-    sigma: SymTensor2  # ps_adjoint(s)
     fractions: np.ndarray  # plastic fraction per edge type
     energy: float  # reported (cell-averaged) increment energy
 
@@ -114,15 +112,6 @@ def plastic_fraction(state: RveState) -> np.ndarray:
     return (state.p.reshape(K, npt) != 0.0).mean(axis=1)
 
 
-def regime(fraction: float) -> str:
-    """Classify a plastic fraction: elastic (0), plastic (1), else transitional."""
-    if fraction <= 0.0:
-        return "elastic"
-    if fraction >= 1.0:
-        return "plastic"
-    return "transitional"
-
-
 def run_path(
     real: Realization,
     path: StrainPath,
@@ -143,14 +132,7 @@ def run_path(
     out = [
         (
             state,
-            StressRecord(
-                t=float(path.times[0]),
-                F=path.tensor(0),
-                s=np.zeros(K),
-                sigma=SymTensor2.zero(),
-                fractions=np.zeros(K),
-                energy=0.0,
-            ),
+            StressRecord(F=path.tensor(0), s=np.zeros(K), fractions=np.zeros(K), energy=0.0),
         )
     ]
     for l in range(1, path.n_steps + 1):
@@ -161,21 +143,14 @@ def run_path(
         try:
             state, report = solve_increment(prob, warm_start=state, settings=settings)
         except SolverError as err:
-            raise PathError(f"solver failed at step {l} (t={path.times[l]})", l, err) from err
+            raise PathError(
+                f"L={real.L} sample {real.sample_id}: solver failed at step {l} "
+                f"(t={path.times[l]}, residual {err.report.residual:.3e})",
+                l,
+                err,
+            ) from err
         if reports is not None:
             reports.append(report)
         s = stress_vector(real, state, F)
-        out.append(
-            (
-                state,
-                StressRecord(
-                    t=float(path.times[l]),
-                    F=F,
-                    s=s,
-                    sigma=ps_adjoint(s),
-                    fractions=plastic_fraction(state),
-                    energy=report.energy,
-                ),
-            )
-        )
+        out.append((state, StressRecord(F, s, plastic_fraction(state), report.energy)))
     return out

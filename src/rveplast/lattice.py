@@ -19,13 +19,8 @@ K = 3  # number of edge types
 
 @dataclass(frozen=True)
 class EdgeType:
-    """One generating edge direction of the triangular lattice.
+    """One generating edge direction of the triangular lattice."""
 
-    ``index`` is the 1-based type label (used in output columns s1..s3,
-    R1..R3); positional (0-based) indices are used everywhere in code.
-    """
-
-    index: int
     direction: tuple[int, int]
 
     @property
@@ -39,9 +34,9 @@ class EdgeType:
 
 
 EDGE_TYPES: tuple[EdgeType, ...] = (
-    EdgeType(1, (1, 0)),
-    EdgeType(2, (0, 1)),
-    EdgeType(3, (1, 1)),
+    EdgeType((1, 0)),
+    EdgeType((0, 1)),
+    EdgeType((1, 1)),
 )
 
 # unit(alpha) / length(alpha): per-component weights of the projected edge
@@ -66,14 +61,13 @@ class SymTensor2:
 
 
 class PeriodicLattice:
-    """Node/edge indexing of the periodic triangular cell of side L."""
+    """Head node of every edge of the periodic triangular cell of side L."""
 
     def __init__(self, L: int):
         if L < 1:
             raise ValueError(f"lattice side must be >= 1, got {L}")
         self.L = int(L)
         self.num_nodes = self.L**2
-        self.num_edges = K * self.num_nodes
         # head node index of edge (tail, alpha), vectorized over tails
         x, y = np.arange(self.L), np.arange(self.L)
         xx = np.tile(x, self.L)
@@ -82,20 +76,6 @@ class PeriodicLattice:
         for alpha, et in enumerate(EDGE_TYPES):
             ex, ey = et.direction
             self.heads[alpha] = ((yy + ey) % self.L) * self.L + (xx + ex) % self.L
-        self.node_x = xx
-        self.node_y = yy
-
-    def node_index(self, x: int, y: int) -> int:
-        return (y % self.L) * self.L + (x % self.L)
-
-    def node_xy(self, node: int) -> tuple[int, int]:
-        return node % self.L, node // self.L
-
-    def edge_index(self, node: int, alpha: int) -> int:
-        return alpha * self.num_nodes + node
-
-    def edge_tail_alpha(self, edge: int) -> tuple[int, int]:
-        return edge % self.num_nodes, edge // self.num_nodes
 
 
 def wrap_node(xy, L: int) -> int:

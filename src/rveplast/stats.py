@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import PathError, StrainPath, run_path
-from .lattice import K
+from .driver import StrainPath, run_path
 from .randfield import MaterialLaw, Realization, restrict, sample
 from .solver import SolverSettings
 
@@ -26,7 +25,6 @@ class McEnsemble:
 
     L: int
     M: int
-    seed: int
     times: np.ndarray  # shape (N+1,)
     f11: np.ndarray  # shape (N+1,)
     stresses: np.ndarray  # shape (M, N+1, K)
@@ -51,10 +49,7 @@ def _trajectory_arrays(records):
 
 def _run_one(real: Realization, path: StrainPath, settings: SolverSettings | None):
     reports = []
-    try:
-        records = run_path(real, path, settings=settings, reports=reports)
-    except PathError as err:
-        raise PathError(f"sample {real.sample_id}: {err}", err.step, err.cause) from err
+    records = run_path(real, path, settings=settings, reports=reports)
     residual = max((rep.residual for rep in reports), default=0.0)
     residual_rel = max((rep.residual / (1.0 + rep.load_norm) for rep in reports), default=0.0)
     monotone = all(
@@ -66,7 +61,6 @@ def _run_one(real: Realization, path: StrainPath, settings: SolverSettings | Non
 def _ensemble_from_realizations(
     reals: list[Realization],
     path: StrainPath,
-    seed: int,
     settings: SolverSettings | None,
     threads: int,
 ) -> McEnsemble:
@@ -81,7 +75,6 @@ def _ensemble_from_realizations(
     return McEnsemble(
         L=reals[0].L,
         M=len(reals),
-        seed=seed,
         times=path.times.copy(),
         f11=path.tensors[:, 0].copy(),
         stresses=stresses,
@@ -107,12 +100,7 @@ def monte_carlo(
     if M < 1:
         raise ValueError("need at least one sample")
     reals = [sample(law, seed, i, L) for i in range(1, M + 1)]
-    return _ensemble_from_realizations(reals, path, seed, settings, threads)
-
-
-def sample_variance(ens: McEnsemble, l: int, alpha: int) -> float:
-    """Biased sample variance of stress component alpha at time step l."""
-    return float(ens.variance()[l, alpha])
+    return _ensemble_from_realizations(reals, path, settings, threads)
 
 
 @dataclass(frozen=True)
@@ -129,8 +117,6 @@ class ErrorTable:
 
     Ls: tuple[int, ...]
     L_max: int
-    M: int
-    seed: int
     times: np.ndarray
     f11: np.ndarray
     mean: dict[int, np.ndarray]  # per L: (N+1, K) mean stress
@@ -187,9 +173,8 @@ def fit_scaling_slopes(
     table: "ErrorTable",
     sys_window: tuple[int, int] = DEFAULT_SYS_WINDOW,
     var_window: tuple[int, int] = DEFAULT_VAR_WINDOW,
-    component: int = 0,
 ) -> list[SlopeFit]:
-    """Log-log slopes of e_sys and variance against L at the regime times."""
+    """Log-log slopes of the s1 e_sys and variance against L at the regime times."""
     fits = []
     for label, t in REGIME_TIMES.items():
         l = _closest_step(table.times, t)
@@ -198,7 +183,7 @@ def fit_scaling_slopes(
             ("variance", table.variance, var_window),
         ):
             window = tuple(L for L in table.Ls if lo <= L <= hi and L != table.L_max)
-            vals = np.array([data[L][l, component] for L in window])
+            vals = np.array([data[L][l, 0] for L in window])
             if len(window) >= 2 and np.all(vals > 0):
                 fits.append(SlopeFit(quantity, label, window, loglog_slope(window, vals)))
     return fits
@@ -231,7 +216,7 @@ def systematic_error_study(
     monotone = True
     for L in sorted(set(Ls) | {L_max}):
         ens = _ensemble_from_realizations(
-            [restrict(big, L) for big in bigs], path, seed, settings, threads
+            [restrict(big, L) for big in bigs], path, settings, threads
         )
         mean[L] = ens.mean
         variance[L] = ens.variance()
@@ -243,8 +228,6 @@ def systematic_error_study(
     return ErrorTable(
         Ls=tuple(Ls),
         L_max=int(L_max),
-        M=int(M),
-        seed=int(seed),
         times=path.times.copy(),
         f11=path.tensors[:, 0].copy(),
         mean=mean,

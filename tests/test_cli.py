@@ -124,22 +124,27 @@ class TestRun:
         b = (tmp_path / "b" / "monotonic_trajectories.csv").read_bytes()
         assert a == b
 
-    def test_error_study_files(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["error-study", "variance-study"])
+    def test_error_study_files(self, experiment, tmp_path):
         config = parse_config(
             [
-                "error-study",
-                "--L-list", "4,6",
+                experiment,
+                "--L-list", "4,6,8",
                 "--Lmax", "8",
+                "--sys-window", "4,6",
+                "--var-window", "4,6",
                 "--M", "2",
                 "--N", "4",
                 "--out", str(tmp_path),
             ]
         )
         assert run(config) == 0
-        header = (tmp_path / "error-study.csv").read_text().splitlines()[0]
+        header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[0]
         assert header == "L,l,t,F11,alpha,e_sys,variance,reference_scaling"
-        slopes = (tmp_path / "error-study_slopes.csv").read_text().splitlines()
+        slopes = (tmp_path / f"{experiment}_slopes.csv").read_text().splitlines()
         assert slopes[0] == "quantity,t_label,window,slope"
+        quantities = {row.split(",")[0] for row in slopes[1:]}
+        assert {"e_sys", "variance"} <= quantities
 
     def test_custom_path_from_config(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -170,6 +175,7 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "sample 1" in err and "step" in err
+        assert "L=4" in err and "residual" in err
 
     @pytest.mark.parametrize(
         "args",
@@ -179,6 +185,7 @@ class TestMain:
             ["cyclic", "--L", "1"],
             ["error-study", "--Lmax", "1"],
             ["cyclic", "--threads", "-3"],
+            ["cyclic", "--threads", "0"],
             ["cyclic", "--T", "nan"],
             ["cyclic", "--T", "inf"],
             ["cyclic", "--amplitude", "nan"],
@@ -189,6 +196,14 @@ class TestMain:
             ["variance-study", "--L-list", "2,3", "--Lmax", "3", "--sys-window", "9,3,4"],
             ["error-study", "--sys-window", "9,3"],
             ["error-study", "--var-window", ""],
+            ["variance-study", "--L-list", "3,4,5"],
+            [
+                "variance-study",
+                "--L-list", "3,4,5",
+                "--Lmax", "5",
+                "--var-window", "100,200",
+                "--sys-window", "3,4",
+            ],
         ],
     )
     def test_bad_flags_exit_code(self, args, tmp_path, capsys):
@@ -212,6 +227,7 @@ class TestMain:
             {"var_window": [10, 6]},
             {"var_window": [6, 10, 14]},
             {"tol_increment": 1e-10},
+            {"threads": 0},
         ],
     )
     def test_bad_config_value_type_exit_code(self, values, tmp_path, capsys):
@@ -230,22 +246,6 @@ class TestMain:
     def test_largest_seed_accepted(self):
         assert parse_config(["cyclic", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_environment_exit_code(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RVE_PLAST_THREADS", value)
-        assert main(["cyclic", "--L", "3", "--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
-        assert "RVE_PLAST_THREADS" in capsys.readouterr().err
-
     def test_successful_run(self, tmp_path, capsys):
         code = main(["cyclic", "--L", "3", "--M", "1", "--N", "3", "--out", str(tmp_path)])
         assert code == 0
-
-
-class TestRunConfig:
-    def test_environment_thread_default(self, monkeypatch):
-        config = RunConfig(experiment="cyclic")
-        monkeypatch.setenv("RVE_PLAST_THREADS", "7")
-        assert config.effective_threads() == 7
-        monkeypatch.delenv("RVE_PLAST_THREADS")
-        assert config.effective_threads() == 1
-        assert RunConfig(experiment="cyclic", threads=3).effective_threads() == 3

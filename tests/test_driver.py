@@ -14,7 +14,6 @@ from rveplast.driver import (
     cyclic_path,
     monotonic_path,
     plastic_fraction,
-    regime,
     run_path,
     stress_vector,
 )
@@ -98,11 +97,6 @@ class TestPlasticFraction:
         state, _ = run_path(real, path)[-1]
         assert np.allclose(plastic_fraction(state), [1.0, 0.0, 0.0])
 
-    def test_regime_labels(self):
-        assert regime(0.0) == "elastic"
-        assert regime(1.0) == "plastic"
-        assert regime(0.5) == "transitional"
-
 
 class TestRunPath:
     def test_zero_path(self):
@@ -168,17 +162,6 @@ class TestRunPath:
         records = run_path(real, monotonic_path())
         fractions = np.array([rec.fractions for _, rec in records])
         assert np.all(np.diff(fractions, axis=0) >= 0.0)
-
-    def test_sigma_is_adjoint_of_s(self):
-        real = sample(LAW, 5, 1, 4)
-        for _, rec in run_path(real, monotonic_path(n_steps=5)):
-            expected = np.array(
-                [
-                    [rec.s[0] + 0.5 * rec.s[2], 0.5 * rec.s[2]],
-                    [0.5 * rec.s[2], rec.s[1] + 0.5 * rec.s[2]],
-                ]
-            )
-            assert np.allclose(rec.sigma.as_matrix(), expected, rtol=1e-15)
 
     def test_regimewise_affine_response(self):
         # with homogeneous coefficients the stress-strain relation is affine

@@ -10,7 +10,6 @@ from rveplast.stats import (
     loglog_slope,
     monte_carlo,
     numerical_slope,
-    sample_variance,
     systematic_error_study,
     systematic_reference,
     variance_reference,
@@ -24,7 +23,6 @@ def tiny_ensemble(stresses):
     return McEnsemble(
         L=2,
         M=stresses.shape[0],
-        seed=0,
         times=np.arange(stresses.shape[1], dtype=float),
         f11=np.zeros(stresses.shape[1]),
         stresses=stresses,
@@ -72,11 +70,11 @@ class TestMonteCarlo:
 class TestSampleVariance:
     def test_identical_samples(self):
         ens = tiny_ensemble([[[1.0, 0, 0]], [[1.0, 0, 0]]])
-        assert sample_variance(ens, 0, 0) == 0.0
+        assert ens.variance()[0, 0] == 0.0
 
     def test_two_sample_example(self):
         ens = tiny_ensemble([[[0.0, 0, 0]], [[2.0, 0, 0]]])
-        assert sample_variance(ens, 0, 0) == 1.0  # biased: divide by M
+        assert ens.variance()[0, 0] == 1.0  # biased: divide by M
 
     def test_elastic_variance_scales_quadratically(self):
         # per sample the elastic map is linear, so variance(2F) = 4 variance(F)
@@ -84,8 +82,8 @@ class TestSampleVariance:
         path2 = monotonic_path(rate=6.8e-5, n_steps=5)
         ens1 = monte_carlo(LAW, 4, 6, 3, path1)
         ens2 = monte_carlo(LAW, 4, 6, 3, path2)
-        v1 = sample_variance(ens1, 5, 0)
-        v2 = sample_variance(ens2, 5, 0)
+        v1 = ens1.variance()[5, 0]
+        v2 = ens2.variance()[5, 0]
         assert v2 == pytest.approx(4.0 * v1, rel=1e-8)
 
     def test_variance_reduction_with_sample_count(self):
