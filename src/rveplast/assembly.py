@@ -231,8 +231,9 @@ class IncrementProblem:
     solver's return map and Schur complement read them.  ``schur_factor``
     holds the solver's last factor of a Schur complement, paired with the
     flowing set it eliminated ("last").  The increments of one path share
-    it, so the factor is reused while the flowing set repeats; it is never
-    shared between threads.
+    it: the factor solves directly while the flowing set repeats and
+    preconditions CG on other flowing sets; it is never shared between
+    threads.
     """
 
     A: sp.csr_matrix = field(repr=False)

@@ -104,9 +104,13 @@ class RunConfig:
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.L_list is not None:
-            bad = [L for L in self.L_list if not 2 <= L <= self.L_max]
-            if bad:
-                raise ConfigError(f"L_list entries must lie in [2, L_max]: {bad}")
+            # only error-study reads L_max; variance-study refers to max(L_list)
+            if self.experiment == "error-study":
+                bad = [L for L in self.L_list if not 2 <= L <= self.L_max]
+                if bad:
+                    raise ConfigError(f"L_list entries must lie in [2, L_max]: {bad}")
+            elif min(self.L_list, default=2) < 2:
+                raise ConfigError(f"L_list entries must be >= 2, got {self.L_list}")
         windows = (("sys_window", DEFAULT_SYS_WINDOW), ("var_window", DEFAULT_VAR_WINDOW))
         for key, default in windows:
             window = getattr(self, key)
@@ -190,7 +194,7 @@ _FLAG_SPELLING = {"L_max": "--Lmax"}
 _FLAG_HELP = {
     "L": "cell side length",
     "L_list": "comma-separated L values",
-    "L_max": "largest (reference) cell side",
+    "L_max": "reference cell side of error-study (variance-study ignores it)",
     "M": "number of Monte-Carlo samples",
     "N": "number of time steps",
     "T": "final time",

@@ -10,9 +10,19 @@ Hessian, the Schur complement S(k) = G.T diag(k) G with k = a h / (a + h)
 on the flowing edges and k = a on the stuck ones.  The solver runs
 semismooth Newton on E (the primal-dual active set method): each step
 solves S(k) dphi = -grad E(phi) and backtracks along phi, every trial point
-being (p*(phi + s dphi), phi + s dphi).  S is one sparse matrix-vector
-product onto a fixed pattern; only its factor is made during the solve, and
-kept while the flowing set repeats.
+being (p*(phi + s dphi), phi + s dphi).
+
+S is one sparse matrix-vector product onto a fixed pattern.  The increments
+of a path hold one LU factor of S, that of the last flowing set factored.
+It solves directly while the flowing set repeats.  On a new flowing set of
+a large cell it preconditions conjugate gradients on the new S instead:
+x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e is 1 or h_e/(a_e + h_e), so the
+factor of any earlier S is a preconditioner of condition number at most
+max (a + h)/h when one flowing set contains the other (its square in
+general).  CG then needs about ten iterations, where a new factor costs the
+time of about thirty.  Only when CG reaches its iteration cap or breaks
+down, on small cells where a factor is cheaper, and on the first step of a
+path is the new S factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -30,8 +40,10 @@ step costs no extra product.  On one side pattern (which edges are stuck,
 and on which side of p_prev each flowing edge lies) p*(phi) is affine in
 phi and E is quadratic with the Hessian S(k) of the step, so a full step
 that keeps the pattern lands on the minimizer and the next certificate
-ends the solve.  A line search that finds no descent raises at once: the
-iteration is deterministic, and repeating the step would repeat it.
+ends the solve.  That step leaves only the residual of its linear solve,
+which CG brings below a tenth of the certificate's gate.  A line search
+that finds no descent raises at once: the iteration is deterministic, and
+repeating the step would repeat it.
 """
 
 from __future__ import annotations
@@ -45,6 +57,12 @@ from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 12);
+# on smaller cells a factor costs less than CG's ten or so iterations
+_PCG_MIN_DOFS = 256
+# CG iterations before the new S is factored instead: a factor costs 26
+# (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
+_PCG_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,9 @@ class SolveReport:
     load_norm: float = np.nan  # max |f|, the scale for residual tolerances
     converged: bool = False
     energies: list[float] = field(default_factory=list)
+    factors: int = 0  # new LU factors of the Schur complement
+    pcg_solves: int = 0  # Newton steps solved by CG, a failed attempt included
+    pcg_iterations: int = 0  # CG iterations of those solves
 
 
 class SolverError(RuntimeError):
@@ -121,28 +142,72 @@ def _energy_change(prob: IncrementProblem, y: np.ndarray, z: np.ndarray, g: np.n
     return prob.scale * (smooth + prob.r @ rough)
 
 
-def _schur_factor(prob: IncrementProblem, flowing: np.ndarray) -> spla.SuperLU:
-    """LU of S(k) = G.T diag(k) G for the flowing plastic DOFs ``flowing``.
+def _pcg(S, precondition, b: np.ndarray, target: float) -> tuple[np.ndarray | None, int]:
+    """Conjugate gradients on S x = b until max|b - S x| <= target.
 
-    S depends on the flowing set alone, so the last factor is reused for as
-    long as the set repeats (across Newton steps and the increments that
-    share ``prob.schur_factor``).
+    Returns x and the iterations taken, or None for x if the cap is reached
+    or the iteration breaks down (d.S d <= 0 or a non-finite value).
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    d = z
+    rz = r @ z
+    for iteration in range(_PCG_MAX_ITER + 1):
+        if np.abs(r).max(initial=0.0) <= target:
+            return x, iteration
+        if iteration == _PCG_MAX_ITER:
+            break
+        q = S @ d
+        dq = d @ q
+        if not (0.0 < dq < np.inf and np.isfinite(rz)):
+            break
+        alpha = rz / dq
+        x += alpha * d
+        r -= alpha * q
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        d = z + (rz / rz_old) * d
+    return None, iteration
+
+
+def _newton_direction(
+    prob: IncrementProblem, flowing: np.ndarray, rhs: np.ndarray, target: float, report: SolveReport
+) -> np.ndarray:
+    """Solve S(k) d_phi = rhs for the flowing plastic DOFs ``flowing``.
+
+    ``prob.schur_factor`` holds the path's last LU factor of a Schur
+    complement, keyed by the flowing set it eliminated ("last").  On that
+    set the factor solves directly.  On another set of a large cell it
+    preconditions CG on the new S down to max|S d_phi - rhs| <= target.  The
+    new S is factored, and its factor replaces the old, only if there is no
+    factor yet, the cell is small, or CG fails.
     """
     key = flowing.tobytes()
     cache = prob.schur_factor
-    if cache.get("last", (None,))[0] == key:
-        return cache["last"][1]
+    last_key, last_lu = cache.get("last", (None, None))
+    if last_key == key:
+        return last_lu.solve(rhs)
+    S = prob.cell.schur(prob.a, prob.h, flowing)
+    if last_lu is not None and rhs.size >= _PCG_MIN_DOFS:
+        d_phi, iterations = _pcg(S, last_lu.solve, rhs, target)
+        report.pcg_solves += 1
+        report.pcg_iterations += iterations
+        if d_phi is not None:
+            return d_phi
     # free the old factor before making the new one: holding both fragments
     # the heap and raised the peak RSS of one L=30 path run from 68 to 80 MB
+    del last_lu
     cache.clear()
-    lu = spla.splu(
-        prob.cell.schur(prob.a, prob.h, flowing),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    report.factors += 1
+    try:
+        lu = spla.splu(
+            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as err:
+        raise SolverError(f"Schur complement not factorizable: {err}", report) from err
     cache["last"] = (key, lu)
-    return lu
+    return lu.solve(rhs)
 
 
 def _certificate(prob: IncrementProblem, y: np.ndarray, g: np.ndarray) -> float:
@@ -204,12 +269,8 @@ def solve_increment(
         report.iterations += 1
         d_phi = np.zeros(dofmap.m)
         if dofmap.m:
-            # no local name for the factor: the cache frees it before the next
-            # one is made, which keeps the peak RSS down
-            try:
-                d_phi = _schur_factor(prob, smooth | (y[:n] != prob.p_prev)).solve(-g[n:])
-            except RuntimeError as err:
-                raise SolverError(f"Schur complement not factorizable: {err}", report) from err
+            flowing = smooth | (y[:n] != prob.p_prev)
+            d_phi = _newton_direction(prob, flowing, -g[n:], residual_gate / 10, report)
 
         for step in _STEPS:
             phi = y[n:] + step * d_phi

@@ -9,6 +9,7 @@ import pytest
 
 from rveplast.cli import (
     RunConfig,
+    _study_sizes,
     build_arg_parser,
     main,
     parse_config,
@@ -70,6 +71,20 @@ class TestParseConfig:
     def test_L_list_bounds(self):
         with pytest.raises(ConfigError):
             parse_config(["error-study", "--L-list", "1,6", "--Lmax", "8"])
+        with pytest.raises(ConfigError):
+            parse_config(["error-study", "--L-list", "4,6,30", "--Lmax", "22"])
+        with pytest.raises(ConfigError):
+            parse_config(["variance-study", "--L-list", "1,6,8"])
+
+    def test_variance_study_ignores_L_max(self):
+        # its reference size is the largest of L_list, above the preset's L_max
+        args = ["variance-study", "--M", "1", "--N", "2", "--L-list", "4,6,30"]
+        config = parse_config(args + ["--sys-window", "4,6", "--var-window", "4,6"])
+        assert config.L_max < 30
+        assert _study_sizes(config) == ([4, 6, 30], 30)
+        # without windows the default sys window [6, 26] holds one size of the study
+        with pytest.raises(ConfigError, match="sys_window"):
+            parse_config(args)
 
     def test_one_flag_per_config_key(self):
         # the README promises that flags mirror the config keys one-to-one

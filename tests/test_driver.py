@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rveplast.driver
-from rveplast.assembly import RveState, build_increment, increment_energy
+import rveplast.solver
+from rveplast.assembly import RveState, build_increment, cell_structure, increment_energy
 from rveplast.driver import (
     PathError,
     StrainPath,
@@ -131,6 +132,22 @@ class TestRunPath:
             assert np.array_equal(ra.fractions, rb.fractions)
             assert ra.energy == rb.energy
 
+    def test_rate_independence_bitwise_with_pcg(self):
+        # at L=14 most Newton steps are solved by CG with the path's factor
+        real = sample(LAW, 3, 1, 14)
+        assert cell_structure(14).dofmap.m >= rveplast.solver._PCG_MIN_DOFS
+        base = cyclic_path(n_steps=20)
+        times = np.cumsum(np.concatenate([[0.0], 1 + np.arange(20) % 3]))
+        stretched = StrainPath(times, base.tensors)
+        reports = []
+        recs_a = run_path(real, base, reports=reports)
+        recs_b = run_path(real, stretched)
+        assert sum(rep.pcg_solves for rep in reports) > 0
+        for (sa, ra), (sb, rb) in zip(recs_a, recs_b):
+            assert np.array_equal(sa.p, sb.p) and np.array_equal(sa.phi, sb.phi)
+            assert np.array_equal(ra.s, rb.s)
+            assert ra.energy == rb.energy
+
     def test_increments_match_build_increment(self, monkeypatch):
         # run_path and build_increment make the same increments: the same load
         # bitwise, the previous step's plastic strains, the same A; the steps
@@ -188,6 +205,19 @@ class TestRunPath:
         run_path(real, monotonic_path(n_steps=5), reports=reports)
         assert len(reports) == 5
         assert all(rep.converged for rep in reports)
+
+    def test_reports_count_factors_and_pcg(self):
+        # one path shares one factor: CG solves the later flowing sets
+        real = sample(LAW, 7, 1, 14)
+        reports = []
+        run_path(real, monotonic_path(), reports=reports)
+        steps = sum(rep.iterations for rep in reports)
+        factors = sum(rep.factors for rep in reports)
+        pcg_solves = sum(rep.pcg_solves for rep in reports)
+        assert 1 <= factors < steps
+        assert pcg_solves > 0
+        pcg_iterations = sum(rep.pcg_iterations for rep in reports)
+        assert pcg_iterations <= rveplast.solver._PCG_MAX_ITER * pcg_solves
 
 
 # Increments on which a solver that compares two evaluated energies stalls:

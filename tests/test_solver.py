@@ -1,6 +1,7 @@
 """Return map, Newton steps and the increment solve."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import rveplast.solver
 from rveplast.assembly import RveState, build_increment, increment_energy
+from rveplast.driver import StrainPath, monotonic_path, run_path
 from rveplast.lattice import SymTensor2, edge_strains, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.reference import brute_force_increment, return_map, SpringParams
@@ -115,6 +117,105 @@ class TestNewtonCorrection:
             state, report = solve_increment(prob, warm_start=warm)
             assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
             assert report.energies == rep_fresh.energies
+
+    def test_reused_factor_preconditions_above_threshold(self):
+        # above the size threshold a kept factor of another flowing set
+        # preconditions CG instead of being replaced: the same Newton steps
+        # and certified states within round-off of the CG residual
+        prob = random_problem(14, seed=61, scale=1e-3, p_prev_scale=2e-4)
+        assert prob.dofmap.m >= rveplast.solver._PCG_MIN_DOFS
+        gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
+        rng = np.random.default_rng(7)
+        warm1 = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
+        warm2 = prob.dofmap.unpack(rng.normal(scale=1e-5, size=prob.dofmap.total))
+        pcg_solves = 0
+        for warm in (warm1, warm1, warm2, warm1):
+            fresh = replace(prob, schur_factor={})
+            expected, rep_fresh = solve_increment(fresh, warm_start=warm)
+            state, report = solve_increment(prob, warm_start=warm)
+            pcg_solves += report.pcg_solves
+            assert report.iterations == rep_fresh.iterations
+            assert optimality_residual(prob, state) <= gate
+            for got, want in ((state.p, expected.p), (state.phi, expected.phi)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert pcg_solves > 0
+
+
+def increment_on_path(L, step=25, seed=20240):
+    """The increment of ``step`` on the monotonic path and the state before it."""
+    real = sample(LAW, seed, 1, L)
+    path = monotonic_path()
+    records = run_path(real, StrainPath(path.times[:step], path.tensors[:step]))
+    state = records[-1][0]
+    return build_increment(real, path.tensor(step), p_prev=state.p), state
+
+
+class TestPreconditionedSolve:
+    @pytest.mark.parametrize("L", [14, 18])
+    def test_factor_of_other_flowing_set_meets_target(self, L):
+        # the first Newton step of an increment, preconditioned by factors of
+        # its flowing set with a random 5% of the edges switched
+        prob, state = increment_on_path(L)
+        n = prob.dofmap.n
+        phi = prob.dofmap.pack(state)[n:]
+        y = np.concatenate([_return_map(prob, phi), phi])
+        rhs = prob.f[n:] - (prob.A @ y)[n:]
+        flowing = y[:n] != prob.p_prev
+        S = prob.cell.schur(prob.a, prob.h, flowing)
+        target = SolverSettings().tol_residual * (1 + np.abs(prob.f).max()) / 10
+        assert np.abs(rhs).max() > 1e6 * target
+        rng = np.random.default_rng(L)
+        for _ in range(3):
+            other = flowing ^ (rng.random(n) < 0.05)
+            lu = spla.splu(prob.cell.schur(prob.a, prob.h, other))
+            d_phi, iterations = rveplast.solver._pcg(S, lu.solve, rhs, target)
+            assert d_phi is not None and iterations <= rveplast.solver._PCG_MAX_ITER
+            assert np.abs(S @ d_phi - rhs).max() <= target
+
+    def test_cap_reached_refactors(self, monkeypatch):
+        # with a cap of one iteration CG fails on almost every new flowing
+        # set, and each failure makes a new factor
+        real = sample(LAW, 20240, 1, 14)
+        path = monotonic_path(n_steps=10)
+        uncapped = []
+        records = run_path(real, path, reports=uncapped)
+        monkeypatch.setattr(rveplast.solver, "_PCG_MAX_ITER", 1)
+        reports = []
+        capped = run_path(real, path, reports=reports)
+        pcg_solves = sum(rep.pcg_solves for rep in reports)
+        factors = sum(rep.factors for rep in reports)
+        assert sum(rep.pcg_iterations for rep in reports) <= pcg_solves
+        # the path's first step has no factor to precondition with
+        assert sum(rep.factors for rep in uncapped) < factors <= pcg_solves + 1
+        for l, rep in enumerate(reports, start=1):
+            assert all(b <= a for a, b in zip(rep.energies, rep.energies[1:]))
+            prob = build_increment(real, path.tensor(l), p_prev=capped[l - 1][0].p)
+            state = capped[l][0]
+            gate = SolverSettings().tol_residual * (1 + rep.load_norm)
+            assert optimality_residual(prob, state) <= gate
+            s, s_ref = capped[l][1].s, records[l][1].s
+            assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
+
+    @pytest.mark.parametrize(
+        "solve", [np.zeros_like, lambda r: np.full_like(r, np.nan)], ids=["zero", "nan"]
+    )
+    def test_breakdown_refactors(self, solve):
+        # a preconditioner that zeroes the direction (d.S d = 0) or returns
+        # non-finite values breaks CG down at once; the new S is factored
+        # and replaces it
+        prob, state = increment_on_path(14)
+        S = prob.cell.schur(prob.a, prob.h, np.ones(prob.dofmap.n, dtype=bool))
+        assert rveplast.solver._pcg(S, solve, prob.f[prob.dofmap.n :], 1e-6) == (None, 0)
+        fake = SimpleNamespace(solve=solve)
+        prob.schur_factor["last"] = (b"another flowing set", fake)
+        result, report = solve_increment(prob, warm_start=state)
+        assert report.converged and report.factors >= 1 and report.pcg_solves >= 1
+        assert isinstance(prob.schur_factor["last"][1], spla.SuperLU)
+        gate = SolverSettings().tol_residual * (1 + report.load_norm)
+        assert optimality_residual(prob, result) <= gate
+        assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+        expected, _ = solve_increment(replace(prob, schur_factor={}), warm_start=state)
+        assert np.abs(result.phi - expected.phi).max() <= 1e-10 * np.abs(expected.phi).max()
 
 
 class TestSolveIncrement:

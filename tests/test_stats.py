@@ -62,6 +62,15 @@ class TestMonteCarlo:
         assert np.array_equal(serial.mean, threaded.mean)
         assert np.array_equal(serial.energies, threaded.energies)
 
+    def test_thread_count_does_not_change_results_with_pcg(self):
+        # at L=14 the Newton steps are solved by CG with each path's factor
+        path = monotonic_path(n_steps=10)
+        serial = monte_carlo(LAW, 14, 3, 5, path, threads=1)
+        threaded = monte_carlo(LAW, 14, 3, 5, path, threads=2)
+        assert np.array_equal(serial.stresses, threaded.stresses)
+        assert np.array_equal(serial.fractions, threaded.fractions)
+        assert np.array_equal(serial.energies, threaded.energies)
+
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
             monte_carlo(LAW, 3, 0, 1, monotonic_path(n_steps=2))
