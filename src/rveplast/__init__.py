@@ -9,13 +9,11 @@ errors scale.
 """
 
 from .assembly import (
-    DofMap,
     IncrementProblem,
     RveState,
     assemble_load,
     assemble_operator,
     build_increment,
-    corner_nodes,
     increment_energy,
 )
 from .driver import (
@@ -31,7 +29,6 @@ from .driver import (
 from .lattice import (
     EDGE_TYPES,
     EdgeType,
-    PeriodicLattice,
     SymTensor2,
     projected_edge_derivative,
     ps_adjoint,

@@ -13,8 +13,10 @@ type alpha.
 
 The edge derivatives are linear in the free displacements, g = G phi, with
 a sparse n x m matrix G (n edges, m free displacement components) that
-depends on the cell size alone.  ``CellStructure`` holds G, made once per
-L; everything a realization needs follows from G and its edge values a, h:
+depends on the cell size alone.  ``CellStructure`` is the one object per
+cell size: it numbers the degrees of freedom y = [p; phi], holds the clamp
+and G, and maps states to vectors and back.  Everything a realization
+needs follows from G and its edge values a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
     f       = [a Fhat; -G.T (a Fhat)]
@@ -41,14 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import D, EDGE_COEFF, K, PeriodicLattice, ps_map, wrap_node
+from .lattice import D, EDGE_COEFF, K, edge_heads, ps_map, wrap_node
 from .randfield import Realization
-
-
-def corner_nodes(L: int) -> np.ndarray:
-    """Clamped nodes: the distinct cell corners (all nodes when L <= 2)."""
-    corners = {wrap_node((x, y), L) for x in (0, L - 1) for y in (0, L - 1)}
-    return np.array(sorted(corners), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -61,41 +57,6 @@ class RveState:
     @classmethod
     def zero(cls, L: int) -> "RveState":
         return cls(np.zeros(K * L**2), np.zeros((L**2, 2)))
-
-
-class DofMap:
-    """Flat numbering of the free degrees of freedom.
-
-    Plastic DOFs come first (edge order), then the unclamped displacement
-    components in node-major, component-minor order.
-    """
-
-    def __init__(self, L: int, clamped: bool = True):
-        self.L = int(L)
-        self.lattice = PeriodicLattice(L)
-        self.n = K * L**2
-        flat = np.arange(2 * L**2).reshape(L**2, 2)
-        free = np.ones(2 * L**2, dtype=bool)
-        self.clamped_nodes = corner_nodes(L) if clamped else np.empty(0, dtype=np.intp)
-        free[flat[self.clamped_nodes].ravel()] = False
-        self.m = int(free.sum())
-        self.total = self.n + self.m
-        # phi_dof[node, comp] -> global index, -1 where clamped
-        self.phi_dof = np.full(2 * L**2, -1, dtype=np.intp)
-        self.phi_dof[free] = self.n + np.arange(self.m)
-        self.phi_dof = self.phi_dof.reshape(L**2, 2)
-        self._free_mask = free.reshape(L**2, 2)
-
-    def pack(self, state: RveState) -> np.ndarray:
-        y = np.empty(self.total)
-        y[: self.n] = state.p
-        y[self.n :] = state.phi[self._free_mask]
-        return y
-
-    def unpack(self, y: np.ndarray) -> RveState:
-        phi = np.zeros((self.L**2, 2))
-        phi[self._free_mask] = y[self.n :]
-        return RveState(y[: self.n].copy(), phi)
 
 
 def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
@@ -120,58 +81,71 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
-def _with_data(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-
 class CellStructure:
-    """The edge-strain operator G of the cell of side L and the patterns made from it.
+    """The cell of side L: its DOF numbering and clamp, G, and the patterns of A and S.
 
     Everything here depends on L alone (``cell_structure`` makes it once per
-    L); a realization contributes only its edge values a and h.  ``G`` maps
-    the free displacements to the edge derivatives, g(phi) = G phi; row e
-    holds the weights of the displacement components of the head and tail
-    of edge e.  A and S(k) are sums of one rank-one term per edge, so each
-    has a fixed pattern and a sparse map from the edge values to its data:
+    L); a realization contributes only its edge values a and h.  The flat
+    vector y = [p; phi] holds the n plastic strains (edge order), then the
+    m free displacement components (node-major, component-minor); the
+    cell corners are clamped (``clamped_nodes``, all nodes when L <= 2), and
+    ``free`` marks the unclamped components.  ``G`` maps the free
+    displacements to the edge derivatives, g(phi) = G phi; row e holds the
+    weights of the displacement components of the head and tail of edge e.
+    A and S(k) are sums of one rank-one term per edge, so each has a fixed
+    pattern and a sparse map from the edge values to its data:
     A.data = M [a; h], and S(k).data = P k with P_(i,j),e = G_ei G_ej, at
     most 16 entries per edge.  The arrays are read-only, because
     realizations on several threads share one structure.
     """
 
     def __init__(self, L: int, clamped: bool = True):
-        self.dofmap = dm = DofMap(L, clamped=clamped)
-        n, m, npt = dm.n, dm.m, L**2
+        L = self.L = int(L)
+        npt = L**2
+        self.n = n = K * npt
+        corners = {wrap_node((x, y), L) for x in (0, L - 1) for y in (0, L - 1)}
+        self.clamped_nodes = np.array(sorted(corners) if clamped else [], dtype=np.intp)
+        self.free = np.ones((npt, 2), dtype=bool)
+        self.free[self.clamped_nodes] = False
+        self.m = m = int(self.free.sum())
+        self.total = n + m
+        # phi_dof[node, comp]: column of G of the component, -1 where clamped
+        phi_dof = np.full((npt, 2), -1, dtype=np.intp)
+        phi_dof[self.free] = np.arange(m)
         edges = np.arange(n)
-        tails = edges % npt
         coeff = np.repeat(EDGE_COEFF, npt, axis=0)
-        # per edge: the x, y components of head and tail, their global dof
+        # per edge: the x, y components of head and tail, their column of G
         # (-1 where clamped) and their weights in g_e
-        dof = np.concatenate([dm.phi_dof[dm.lattice.heads.ravel()], dm.phi_dof[tails]], axis=1)
+        dof = np.concatenate([phi_dof[edge_heads(L).ravel()], phi_dof[edges % npt]], axis=1)
         weight = np.concatenate([coeff, -coeff], axis=1)
         weight[dof < 0] = 0.0
         keep = weight != 0.0
         rows = np.broadcast_to(edges[:, None], dof.shape)[keep]
-        self.G = sp.csr_matrix((weight[keep], (rows, dof[keep] - n)), shape=(n, m))
+        self.G = sp.csr_matrix((weight[keep], (rows, dof[keep])), shape=(n, m))
         self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
-        self.schur_pattern, self.schur_map = _quadratic_map(dof - n, weight, m)
+        self.schur_pattern, self.schur_map = _quadratic_map(dof, weight, m)
         # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
-        stencil = np.column_stack([edges, dof])
+        stencil = np.column_stack([edges, dof + n])
         ones = np.ones((n, 1))
         self.A_pattern, self.A_map = _quadratic_map(
             np.concatenate([stencil, stencil]),
             np.block([[-ones, weight], [ones, np.zeros_like(weight)]]),
-            dm.total,
+            self.total,
         )
         matrices = (self.G, self.G_t, self.schur_pattern, self.schur_map, self.A_pattern, self.A_map)
-        for mat in matrices:
-            for arr in (mat.data, mat.indices, mat.indptr):
-                arr.flags.writeable = False
-        for arr in (dm.phi_dof, dm.clamped_nodes, dm._free_mask):
+        arrays = [arr for mat in matrices for arr in (mat.data, mat.indices, mat.indptr)]
+        for arr in arrays + [self.clamped_nodes, self.free]:
             arr.flags.writeable = False
 
-    @property
-    def L(self) -> int:
-        return self.dofmap.L
+    def pack(self, state: RveState) -> np.ndarray:
+        """The flat vector [p; phi on the free components] of a state."""
+        return np.concatenate([state.p, state.phi[self.free]])
+
+    def unpack(self, y: np.ndarray) -> RveState:
+        """The state of a flat vector; clamped displacements are zero."""
+        phi = np.zeros(self.free.shape)
+        phi[self.free] = y[self.n :]
+        return RveState(y[: self.n].copy(), phi)
 
     def _edge_macro_strain(self, F) -> np.ndarray:
         """Fhat_e = (ps_map F)_alpha on every edge e of type alpha."""
@@ -179,7 +153,9 @@ class CellStructure:
 
     def operator(self, a: np.ndarray, h: np.ndarray) -> sp.csr_matrix:
         """A = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]."""
-        return _with_data(self.A_pattern, self.A_map @ np.concatenate([a, h]))
+        pattern = self.A_pattern
+        data = self.A_map @ np.concatenate([a, h])
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
     def load(self, a: np.ndarray, F) -> np.ndarray:
         """f = [a Fhat; -G.T (a Fhat)]."""
@@ -192,14 +168,17 @@ class CellStructure:
         The displacements of ``state`` must vanish where they are clamped,
         as in every state the solver returns.
         """
-        phi = self.dofmap.pack(state)[self.dofmap.n :]
+        phi = state.phi[self.free]
         sigma = a * (self._edge_macro_strain(F) + self.G @ phi - state.p)
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
 
     def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
         """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere."""
         k = np.where(flowing, a * h / (a + h), a)
-        return _with_data(self.schur_pattern, self.schur_map @ k).T
+        pattern = self.schur_pattern
+        data = self.schur_map @ k
+        # S is symmetric: the CSR arrays of its pattern are also its CSC arrays
+        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -246,16 +225,12 @@ class IncrementProblem:
     schur_factor: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def dofmap(self) -> DofMap:
-        return self.cell.dofmap
-
-    @property
     def scale(self) -> float:
         """Cell-average prefactor applied when reporting energies."""
-        return float(self.dofmap.L) ** (-D)
+        return float(self.cell.L) ** (-D)
 
     def as_vector(self, y) -> np.ndarray:
-        return self.dofmap.pack(y) if isinstance(y, RveState) else np.asarray(y, dtype=float)
+        return self.cell.pack(y) if isinstance(y, RveState) else np.asarray(y, dtype=float)
 
 
 def build_increment(
@@ -277,7 +252,7 @@ def build_increment(
         A=assemble_operator(real) if A is None else A,
         f=assemble_load(real, F),
         r=real.sy,
-        p_prev=np.zeros(cell.dofmap.n) if p_prev is None else np.asarray(p_prev, dtype=float),
+        p_prev=np.zeros(cell.n) if p_prev is None else np.asarray(p_prev, dtype=float),
         a=real.a,
         h=real.h,
         cell=cell,
@@ -291,7 +266,7 @@ def increment_energy(prob: IncrementProblem, y) -> float:
     offset to the full stored energy is independent of y.
     """
     yv = prob.as_vector(y)
-    n = prob.dofmap.n
+    n = prob.cell.n
     smooth = 0.5 * yv @ (prob.A @ yv) - prob.f @ yv
     rough = prob.r @ np.abs(yv[:n] - prob.p_prev)
     return prob.scale * (smooth + rough)

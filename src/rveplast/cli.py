@@ -65,14 +65,14 @@ class RunConfig:
     amplitude: float = 3e-3
     frequency: float = 8.0
     rate: float = 0.0034
-    a_lo: float = 1.0e6
-    a_hi: float = 2.0e6
-    h_lo: float = 1.25e6
-    h_hi: float = 2.0e6
-    sy_lo: float = 0.9e3
-    sy_hi: float = 1.1e3
-    tol_residual: float = 1e-9
-    max_outer: int = 500
+    a_lo: float = MaterialLaw.a[0]
+    a_hi: float = MaterialLaw.a[1]
+    h_lo: float = MaterialLaw.h[0]
+    h_hi: float = MaterialLaw.h[1]
+    sy_lo: float = MaterialLaw.sigma_y[0]
+    sy_hi: float = MaterialLaw.sigma_y[1]
+    tol_residual: float = SolverSettings.tol_residual
+    max_outer: int = SolverSettings.max_outer
     sys_window: list[int] | None = None
     var_window: list[int] | None = None
     path: list[list[float]] | None = None  # custom-path rows (t, F11, F12, F22)

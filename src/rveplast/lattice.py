@@ -60,22 +60,13 @@ class SymTensor2:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
-class PeriodicLattice:
-    """Head node of every edge of the periodic triangular cell of side L."""
-
-    def __init__(self, L: int):
-        if L < 1:
-            raise ValueError(f"lattice side must be >= 1, got {L}")
-        self.L = int(L)
-        self.num_nodes = self.L**2
-        # head node index of edge (tail, alpha), vectorized over tails
-        x, y = np.arange(self.L), np.arange(self.L)
-        xx = np.tile(x, self.L)
-        yy = np.repeat(y, self.L)
-        self.heads = np.empty((K, self.num_nodes), dtype=np.intp)
-        for alpha, et in enumerate(EDGE_TYPES):
-            ex, ey = et.direction
-            self.heads[alpha] = ((yy + ey) % self.L) * self.L + (xx + ex) % self.L
+def edge_heads(L: int) -> np.ndarray:
+    """Head node of every edge (tail, alpha) of the cell of side L, shape (K, L*L)."""
+    if L < 1:
+        raise ValueError(f"lattice side must be >= 1, got {L}")
+    x, y = np.tile(np.arange(L), L), np.repeat(np.arange(L), L)
+    steps = [et.direction for et in EDGE_TYPES]
+    return np.array([((y + ey) % L) * L + (x + ex) % L for ex, ey in steps])
 
 
 def wrap_node(xy, L: int) -> int:
@@ -103,14 +94,11 @@ def projected_edge_derivative(field, edge, L: int) -> float:
     return float(EDGE_COEFF[alpha] @ (field[head] - field[tail]))
 
 
-def edge_strains(field, lattice: PeriodicLattice) -> np.ndarray:
+def edge_strains(field, L: int) -> np.ndarray:
     """Projected edge derivative on all edges at once, shape (K, L*L)."""
     field = np.asarray(field, dtype=float)
-    out = np.empty((K, lattice.num_nodes))
-    for alpha in range(K):
-        diff = field[lattice.heads[alpha]] - field
-        out[alpha] = diff @ EDGE_COEFF[alpha]
-    return out
+    heads = edge_heads(L)
+    return np.array([(field[heads[alpha]] - field) @ EDGE_COEFF[alpha] for alpha in range(K)])
 
 
 def ps_map(F) -> np.ndarray:

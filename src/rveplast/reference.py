@@ -83,7 +83,7 @@ def brute_force_increment(
     unique minimizer for step < 1 / ||A||; intended for tiny cells only.
     """
     A, f, r, p_prev = prob.A, prob.f, prob.r, prob.p_prev
-    n = prob.dofmap.n
+    n = prob.cell.n
     if step is None:
         step = 0.9 / estimate_operator_norm(A)
     y = np.zeros(A.shape[0])
@@ -93,4 +93,4 @@ def brute_force_increment(
         dp = z[:n] - p_prev
         z[:n] = p_prev + np.sign(dp) * np.maximum(np.abs(dp) - step * r, 0.0)
         y = z
-    return prob.dofmap.unpack(y)
+    return prob.cell.unpack(y)

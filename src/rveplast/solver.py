@@ -118,7 +118,7 @@ def _return_map(prob: IncrementProblem, phi: np.ndarray) -> np.ndarray:
     p_prev_e itself.
     """
     d = prob.a + prob.h
-    c = -(prob.a * (prob.cell.G @ phi)) - prob.f[: prob.dofmap.n]
+    c = -(prob.a * (prob.cell.G @ phi)) - prob.f[: prob.cell.n]
     g = d * prob.p_prev + c
     return np.where(np.abs(g) <= prob.r, prob.p_prev, (np.copysign(prob.r, g) - c) / d)
 
@@ -132,7 +132,7 @@ def _energy_change(prob: IncrementProblem, y: np.ndarray, z: np.ndarray, g: np.n
     only edges that cross or leave the kink take the difference of the
     absolute values.
     """
-    n = prob.dofmap.n
+    n = prob.cell.n
     delta = z - y
     smooth = g @ delta + 0.5 * delta @ (prob.A @ delta)
     dy = y[:n] - prob.p_prev
@@ -212,7 +212,7 @@ def _newton_direction(
 
 def _certificate(prob: IncrementProblem, y: np.ndarray, g: np.ndarray) -> float:
     """``optimality_residual`` at the vector y, given g = A y - f."""
-    n = prob.dofmap.n
+    n = prob.cell.n
     dp = y[:n] - prob.p_prev
     viol_p = np.where(
         dp == 0.0,
@@ -247,9 +247,9 @@ def solve_increment(
     finds no descent.
     """
     settings = settings or SolverSettings()
-    dofmap = prob.dofmap
-    n = dofmap.n
-    phi = dofmap.pack(warm_start)[n:] if warm_start is not None else np.zeros(dofmap.m)
+    cell = prob.cell
+    n = cell.n
+    phi = warm_start.phi[cell.free] if warm_start is not None else np.zeros(cell.m)
     y = np.concatenate([_return_map(prob, phi), phi])
     smooth = prob.r == 0.0  # never stuck: the return map is linear in phi
 
@@ -267,8 +267,8 @@ def solve_increment(
             failure = f"did not converge in {settings.max_outer} Newton steps"
             break
         report.iterations += 1
-        d_phi = np.zeros(dofmap.m)
-        if dofmap.m:
+        d_phi = np.zeros(cell.m)
+        if cell.m:
             flowing = smooth | (y[:n] != prob.p_prev)
             d_phi = _newton_direction(prob, flowing, -g[n:], residual_gate / 10, report)
 
@@ -288,4 +288,4 @@ def solve_increment(
     report.converged = failure is None
     if failure is not None:
         raise SolverError(f"increment solve {failure} (residual {report.residual:.3e})", report)
-    return dofmap.unpack(y), report
+    return cell.unpack(y), report

@@ -107,13 +107,13 @@ def test_c02_brute_force_equivalence():
         real = sample(LAW, SEED + instance, 1, 2)
         rng = np.random.default_rng(instance)
         prob = build_increment(real, SymTensor2(*rng.normal(scale=5e-3, size=3)))
-        p_prev = np.zeros(prob.dofmap.n)
+        p_prev = np.zeros(prob.cell.n)
         for inc in range(2):
             state, report = solve_increment(prob)
             audit_reports(f"criterion 2 instance {instance} inc {inc}", [report])
             oracle = brute_force_increment(prob, iterations=5000)
             gap = increment_energy(prob, state) - increment_energy(prob, oracle)
-            diff = np.abs(prob.dofmap.pack(state) - prob.dofmap.pack(oracle)).max()
+            diff = np.abs(prob.cell.pack(state) - prob.cell.pack(oracle)).max()
             worst_energy = max(worst_energy, gap)
             worst_dof = max(worst_dof, diff)
             # chain a second random strain increment from the plastic state

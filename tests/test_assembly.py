@@ -9,13 +9,11 @@ import scipy.sparse.linalg as spla
 
 from rveplast.assembly import (
     CellStructure,
-    DofMap,
     RveState,
     assemble_load,
     assemble_operator,
     build_increment,
     cell_structure,
-    corner_nodes,
     increment_energy,
 )
 from rveplast.driver import stress_vector
@@ -25,18 +23,17 @@ from rveplast.randfield import MaterialLaw, sample
 LAW = MaterialLaw()
 
 
-def random_state(dofmap, rng, scale=1e-3):
-    state = RveState.zero(dofmap.L)
+def random_state(cell, rng, scale=1e-3):
+    state = RveState.zero(cell.L)
     state.p[:] = rng.normal(scale=scale, size=state.p.size)
     state.phi[:] = rng.normal(scale=scale, size=state.phi.shape)
-    state.phi[dofmap.clamped_nodes] = 0.0
+    state.phi[cell.clamped_nodes] = 0.0
     return state
 
 
 def edge_sum_form(real, state):
     """Definition-level oracle for the quadratic form value."""
-    dofmap = DofMap(real.L)
-    g = edge_strains(state.phi, dofmap.lattice)
+    g = edge_strains(state.phi, real.L)
     p = state.p.reshape(K, real.L**2)
     a, h = real.by_type("a"), real.by_type("h")
     return float(np.sum(a * (g - p) ** 2 + h * p**2))
@@ -44,8 +41,7 @@ def edge_sum_form(real, state):
 
 def edge_sum_load(real, F, state):
     """Definition-level oracle for f . y = sum a Fhat (p - g)."""
-    dofmap = DofMap(real.L)
-    g = edge_strains(state.phi, dofmap.lattice)
+    g = edge_strains(state.phi, real.L)
     p = state.p.reshape(K, real.L**2)
     fhat = ps_map(F)
     return float(np.sum(real.by_type("a") * fhat[:, None] * (p - g)))
@@ -53,8 +49,7 @@ def edge_sum_load(real, F, state):
 
 def stored_energy(real, F, state):
     """Full stored energy: sum_e a/2 (Fhat + g - p)^2 + h/2 p^2."""
-    dofmap = DofMap(real.L)
-    g = edge_strains(state.phi, dofmap.lattice)
+    g = edge_strains(state.phi, real.L)
     p = state.p.reshape(K, real.L**2)
     fhat = ps_map(F)
     a, h = real.by_type("a"), real.by_type("h")
@@ -63,21 +58,21 @@ def stored_energy(real, F, state):
 
 class TestClamping:
     def test_four_distinct_corners(self):
-        assert list(corner_nodes(5)) == [0, 4, 20, 24]
+        assert list(cell_structure(5).clamped_nodes) == [0, 4, 20, 24]
 
     def test_small_cells_clamp_fewer(self):
-        assert list(corner_nodes(2)) == [0, 1, 2, 3]  # every node is a corner
-        assert list(corner_nodes(1)) == [0]
+        assert list(cell_structure(2).clamped_nodes) == [0, 1, 2, 3]  # every node is a corner
+        assert list(cell_structure(1).clamped_nodes) == [0]
 
     def test_dof_counts(self):
-        dm = DofMap(5)
-        assert dm.n == 3 * 25 and dm.m == 2 * 25 - 8
-        assert DofMap(2).m == 0
+        cell = cell_structure(5)
+        assert cell.n == 3 * 25 and cell.m == 2 * 25 - 8
+        assert cell_structure(2).m == 0
 
     def test_pack_unpack_roundtrip(self):
-        dm = DofMap(4)
-        state = random_state(dm, np.random.default_rng(0))
-        back = dm.unpack(dm.pack(state))
+        cell = cell_structure(4)
+        state = random_state(cell, np.random.default_rng(0))
+        back = cell.unpack(cell.pack(state))
         assert np.array_equal(back.p, state.p)
         assert np.array_equal(back.phi, state.phi)
 
@@ -92,9 +87,9 @@ class TestOperator:
     def test_single_plastic_dof(self):
         real = sample(LAW, 1, 1, 4)
         A = assemble_operator(real)
-        dm = DofMap(4)
+        cell = cell_structure(4)
         for edge in (0, 17, 3 * 16 - 1):
-            y = np.zeros(dm.total)
+            y = np.zeros(cell.total)
             y[edge] = 1.0
             assert y @ (A @ y) == pytest.approx(real.a[edge] + real.h[edge], rel=1e-14)
 
@@ -107,21 +102,21 @@ class TestOperator:
     def test_form_matches_edge_sum(self, L):
         real = sample(LAW, 3, 1, L)
         A = assemble_operator(real)
-        dm = DofMap(L)
+        cell = cell_structure(L)
         rng = np.random.default_rng(L)
         for _ in range(3):
-            state = random_state(dm, rng)
-            y = dm.pack(state)
+            state = random_state(cell, rng)
+            y = cell.pack(state)
             assert y @ (A @ y) == pytest.approx(edge_sum_form(real, state), rel=1e-12)
 
     def test_unclamped_form_invariant_under_constant_shift(self):
         real = sample(LAW, 4, 1, 4)
         cell = CellStructure(4, clamped=False)
-        A, dm = cell.operator(real.a, real.h), cell.dofmap
+        A = cell.operator(real.a, real.h)
         rng = np.random.default_rng(7)
-        state = random_state(dm, rng)
+        state = random_state(cell, rng)
         shifted = RveState(state.p.copy(), state.phi + np.array([0.37, -1.2]))
-        y, ys = dm.pack(state), dm.pack(shifted)
+        y, ys = cell.pack(state), cell.pack(shifted)
         assert ys @ (A @ ys) == pytest.approx(y @ (A @ y), rel=1e-9)
 
     def test_uniform_coercivity(self):
@@ -130,11 +125,11 @@ class TestOperator:
         def smallest(L):
             real = sample(LAW, 5, 1, L)
             A = assemble_operator(real)
-            dm = DofMap(L)
-            mdiag = np.ones(dm.total)
-            mdiag[dm.n :] = float(L) ** -2
+            cell = cell_structure(L)
+            mdiag = np.ones(cell.total)
+            mdiag[cell.n :] = float(L) ** -2
             lu = spla.splu(sp.csc_matrix(A))
-            v = np.ones(dm.total)
+            v = np.ones(cell.total)
             lam = np.inf
             for _ in range(400):
                 w = lu.solve(mdiag * v)
@@ -157,8 +152,8 @@ class TestLoad:
         law = MaterialLaw.point_mass(1.5e6, 1.6e6, 1.0e3)
         real = sample(law, 0, 1, 5)
         f = assemble_load(real, SymTensor2(2e-3, 3e-4, -1e-3))
-        dm = DofMap(5)
-        assert np.abs(f[dm.n :]).max() < 1e-9 * np.abs(f).max()
+        cell = cell_structure(5)
+        assert np.abs(f[cell.n :]).max() < 1e-9 * np.abs(f).max()
 
     def test_uniaxial_plastic_components(self):
         # horizontal plastic DOF receives +a*gamma, vertical receives 0
@@ -175,10 +170,10 @@ class TestLoad:
         real = sample(LAW, 8, 1, L)
         F = SymTensor2(1.1e-3, -0.4e-3, 0.7e-3)
         f = assemble_load(real, F)
-        dm = DofMap(L)
+        cell = cell_structure(L)
         rng = np.random.default_rng(L + 10)
-        state = random_state(dm, rng)
-        assert f @ dm.pack(state) == pytest.approx(edge_sum_load(real, F, state), rel=1e-12)
+        state = random_state(cell, rng)
+        assert f @ cell.pack(state) == pytest.approx(edge_sum_load(real, F, state), rel=1e-12)
 
     @pytest.mark.parametrize("L", [2, 3, 5])
     def test_smooth_part_is_stored_energy_minus_constant(self, L):
@@ -186,13 +181,13 @@ class TestLoad:
         F = SymTensor2(1.3e-3, 0.2e-3, -0.8e-3)
         A = assemble_operator(real)
         f = assemble_load(real, F)
-        dm = DofMap(L)
+        cell = cell_structure(L)
         fhat = ps_map(F)
         const = float(np.sum(0.5 * real.by_type("a") * fhat[:, None] ** 2))
         rng = np.random.default_rng(L)
         for _ in range(3):
-            state = random_state(dm, rng)
-            y = dm.pack(state)
+            state = random_state(cell, rng)
+            y = cell.pack(state)
             smooth = 0.5 * y @ (A @ y) - f @ y
             assert smooth + const == pytest.approx(stored_energy(real, F, state), rel=1e-10)
 
@@ -215,23 +210,23 @@ class TestLoadBasis:
     @pytest.mark.parametrize("L", [2, 3, 6])
     def test_load_pairing_matches_edge_definition(self, L):
         real = sample(LAW, 40 + L, 1, L)
-        dm = DofMap(L)
+        cell = cell_structure(L)
         f = assemble_load(real, self.F)
         rng = np.random.default_rng(L)
         for _ in range(3):
-            state = random_state(dm, rng)
+            state = random_state(cell, rng)
             p = state.p.reshape(K, L**2)
             # f.y = sum_e a_e Fhat_a (p_e - g_e(phi))
             terms = real.by_type("a") * ps_map(self.F)[:, None] * (p - edge_derivatives(state, L))
-            assert abs(f @ dm.pack(state) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+            assert abs(f @ cell.pack(state) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("L", [2, 3, 6])
     def test_stress_matches_edge_definition(self, L):
         real = sample(LAW, 50 + L, 1, L)
-        dm = DofMap(L)
+        cell = cell_structure(L)
         rng = np.random.default_rng(10 + L)
         for _ in range(3):
-            state = random_state(dm, rng)
+            state = random_state(cell, rng)
             p = state.p.reshape(K, L**2)
             # s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_a + g_e(phi) - p_e)
             terms = real.by_type("a") * (ps_map(self.F)[:, None] + edge_derivatives(state, L) - p)
@@ -239,7 +234,7 @@ class TestLoadBasis:
             tol = 1e-13 * np.abs(terms).sum(axis=1) / L**2
             assert np.all(np.abs(stress_vector(real, state, self.F) - expected) <= tol)
 
-    def test_builder_shares_operator_and_blocks(self):
+    def test_builder_shares_operator_and_structure(self):
         # a given A is reused, and every increment of a cell size reads the
         # same structure
         real = sample(LAW, 60, 1, 4)
@@ -258,8 +253,8 @@ class TestCellStructure:
         first = build_increment(sample(LAW, 61, 1, 5), SymTensor2.zero()).cell
         second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
         assert second is first and cell_structure.cache_info().misses == 1
-        arrays = [first.dofmap.phi_dof]
-        for mat in (first.G, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
+        arrays = [first.clamped_nodes, first.free]
+        for mat in (first.G, first.G_t, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
             arrays += [mat.data, mat.indices, mat.indptr]
         assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError):
@@ -267,8 +262,8 @@ class TestCellStructure:
 
 
 def schur_setup(L, seed=13):
-    real = sample(LAW, seed, 1, L)
-    return real, assemble_operator(real), DofMap(L).n, cell_structure(L)
+    real, cell = sample(LAW, seed, 1, L), cell_structure(L)
+    return real, assemble_operator(real), cell.n, cell
 
 
 class TestOperatorBlocks:

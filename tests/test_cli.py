@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rveplast.cli import (
+    EXPERIMENTS,
     RunConfig,
     _study_sizes,
     build_arg_parser,
@@ -19,6 +20,7 @@ from rveplast.cli import (
 )
 from rveplast.driver import monotonic_path
 from rveplast.randfield import ConfigError, MaterialLaw
+from rveplast.solver import SolverSettings
 from rveplast.stats import monte_carlo
 
 
@@ -28,6 +30,12 @@ class TestParseConfig:
         assert config.experiment == "cyclic"
         assert (config.L, config.M, config.N, config.T) == (4, 5, 50, 1.0)
         assert config.law() == MaterialLaw()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_defaults_are_the_library_defaults(self, experiment):
+        config = RunConfig(experiment)
+        assert config.law() == MaterialLaw()
+        assert config.solver_settings() == SolverSettings()
 
     def test_monotonic_preset(self):
         config = parse_config(["monotonic"])

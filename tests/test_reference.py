@@ -104,7 +104,7 @@ class TestBruteForce:
         smooth = replace(prob, r=np.zeros_like(prob.r))
         state = brute_force_increment(smooth, iterations=60_000)
         exact = spsolve(prob.A.tocsc(), prob.f)
-        assert np.abs(smooth.dofmap.pack(state) - exact).max() < 1e-8
+        assert np.abs(smooth.cell.pack(state) - exact).max() < 1e-8
 
     def test_single_spring_matches_return_map(self):
         # L=2 clamps every node, so each plastic DOF is an isolated spring

@@ -34,7 +34,7 @@ def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0):
     F = SymTensor2(*rng.normal(scale=scale, size=3))
     prob = build_increment(real, F)
     if p_prev_scale:
-        prob = replace(prob, p_prev=rng.normal(scale=p_prev_scale, size=prob.dofmap.n))
+        prob = replace(prob, p_prev=rng.normal(scale=p_prev_scale, size=prob.cell.n))
     return prob
 
 
@@ -50,11 +50,11 @@ class TestReturnMap:
         real = sample(LAW, 90 + L, 1, L)
         F = SymTensor2(*rng.normal(scale=5e-4, size=3))
         prob = build_increment(real, F, p_prev=rng.normal(scale=3e-4, size=3 * L**2))
-        phi = rng.normal(scale=3e-4, size=prob.dofmap.m)
+        phi = rng.normal(scale=3e-4, size=prob.cell.m)
         p = _return_map(prob, phi)
 
-        state = prob.dofmap.unpack(np.concatenate([np.zeros(prob.dofmap.n), phi]))
-        strain = (ps_map(F)[:, None] + edge_strains(state.phi, prob.dofmap.lattice)).ravel()
+        state = prob.cell.unpack(np.concatenate([np.zeros(prob.cell.n), phi]))
+        strain = (ps_map(F)[:, None] + edge_strains(state.phi, L)).ravel()
         expected = np.array(
             [
                 return_map(SpringParams(a, h, sy), d, p_prev)
@@ -75,20 +75,20 @@ class TestNewtonCorrection:
         smooth = with_weights(prob, np.zeros_like(prob.r))
         state, report = solve_increment(smooth)
         exact = spla.spsolve(sp.csc_matrix(prob.A), prob.f)
-        y = prob.dofmap.pack(state)
+        y = prob.cell.pack(state)
         assert report.iterations == 1  # the full step keeps every edge flowing: exact
         assert np.abs(y - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_all_kinked_reduces_to_displacement_solve(self):
         prob = random_problem(4, seed=32, p_prev_scale=2e-4)
         prob = with_weights(prob, np.full_like(prob.r, 1e9))
-        n = prob.dofmap.n
+        n = prob.cell.n
         state, _ = solve_increment(prob)
         assert np.array_equal(state.p, prob.p_prev)  # every edge stuck, bitwise
         # block-elimination oracle: Q phi = f_phi - C p_prev
         A = prob.A.toarray()
         phi_exact = np.linalg.solve(A[n:, n:], prob.f[n:] - A[n:, :n] @ prob.p_prev)
-        phi = prob.dofmap.pack(state)[n:]
+        phi = prob.cell.pack(state)[n:]
         assert np.abs(phi - phi_exact).max() <= 1e-12 * np.abs(phi_exact).max()
 
     def test_energy_never_increases(self):
@@ -97,9 +97,9 @@ class TestNewtonCorrection:
         rng = np.random.default_rng(4)
         for seed in range(5):
             prob = random_problem(3, seed=40 + seed, p_prev_scale=2e-4)
-            warm = prob.dofmap.unpack(rng.normal(scale=1e-2, size=prob.dofmap.total))
+            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
             _, report = solve_increment(prob, warm_start=warm)
-            phi0 = prob.dofmap.pack(warm)[prob.dofmap.n :]
+            phi0 = prob.cell.pack(warm)[prob.cell.n :]
             start = np.concatenate([_return_map(prob, phi0), phi0])
             assert report.energies[0] == increment_energy(prob, start)
             assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
@@ -109,8 +109,8 @@ class TestNewtonCorrection:
         # repeated flowing set must reuse it, a changed one must not
         prob = random_problem(4, seed=60, scale=1e-3, p_prev_scale=2e-4)
         rng = np.random.default_rng(6)
-        warm1 = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
-        warm2 = prob.dofmap.unpack(rng.normal(scale=1e-5, size=prob.dofmap.total))
+        warm1 = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
+        warm2 = prob.cell.unpack(rng.normal(scale=1e-5, size=prob.cell.total))
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
             expected, rep_fresh = solve_increment(fresh, warm_start=warm)
@@ -123,11 +123,11 @@ class TestNewtonCorrection:
         # preconditions CG instead of being replaced: the same Newton steps
         # and certified states within round-off of the CG residual
         prob = random_problem(14, seed=61, scale=1e-3, p_prev_scale=2e-4)
-        assert prob.dofmap.m >= rveplast.solver._PCG_MIN_DOFS
+        assert prob.cell.m >= rveplast.solver._PCG_MIN_DOFS
         gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
         rng = np.random.default_rng(7)
-        warm1 = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
-        warm2 = prob.dofmap.unpack(rng.normal(scale=1e-5, size=prob.dofmap.total))
+        warm1 = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
+        warm2 = prob.cell.unpack(rng.normal(scale=1e-5, size=prob.cell.total))
         pcg_solves = 0
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
@@ -156,8 +156,8 @@ class TestPreconditionedSolve:
         # the first Newton step of an increment, preconditioned by factors of
         # its flowing set with a random 5% of the edges switched
         prob, state = increment_on_path(L)
-        n = prob.dofmap.n
-        phi = prob.dofmap.pack(state)[n:]
+        n = prob.cell.n
+        phi = prob.cell.pack(state)[n:]
         y = np.concatenate([_return_map(prob, phi), phi])
         rhs = prob.f[n:] - (prob.A @ y)[n:]
         flowing = y[:n] != prob.p_prev
@@ -204,8 +204,8 @@ class TestPreconditionedSolve:
         # non-finite values breaks CG down at once; the new S is factored
         # and replaces it
         prob, state = increment_on_path(14)
-        S = prob.cell.schur(prob.a, prob.h, np.ones(prob.dofmap.n, dtype=bool))
-        assert rveplast.solver._pcg(S, solve, prob.f[prob.dofmap.n :], 1e-6) == (None, 0)
+        S = prob.cell.schur(prob.a, prob.h, np.ones(prob.cell.n, dtype=bool))
+        assert rveplast.solver._pcg(S, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
         fake = SimpleNamespace(solve=solve)
         prob.schur_factor["last"] = (b"another flowing set", fake)
         result, report = solve_increment(prob, warm_start=state)
@@ -261,7 +261,7 @@ class TestSolveIncrement:
         prob = random_problem(4, seed=82)
         rng = np.random.default_rng(5)
         state_cold, rep_cold = solve_increment(prob)
-        warm = prob.dofmap.unpack(rng.normal(scale=1e-3, size=prob.dofmap.total))
+        warm = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
         assert np.abs(warm.phi).max() > 0.0
         state_warm, rep_warm = solve_increment(prob, warm_start=warm)
         assert rep_warm.energies[0] > rep_cold.energies[0]  # a different start
@@ -283,7 +283,7 @@ class TestSolveIncrement:
         # a far warm start that needs more than one Newton step
         prob = random_problem(4, seed=84)
         rng = np.random.default_rng(84)
-        warm = prob.dofmap.unpack(rng.normal(scale=1e-2, size=prob.dofmap.total))
+        warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
         _, report = solve_increment(prob, warm_start=warm)
         assert report.iterations >= 2
         with pytest.raises(SolverError) as excinfo:
@@ -299,7 +299,7 @@ class TestSolveIncrement:
             solve_increment(prob)
         report = excinfo.value.report
         assert report.iterations == 1 and not report.converged
-        phi0 = np.zeros(prob.dofmap.m)
+        phi0 = np.zeros(prob.cell.m)
         start = np.concatenate([_return_map(prob, phi0), phi0])
         assert report.residual == optimality_residual(prob, start)  # the point is kept
 
@@ -342,7 +342,7 @@ class TestSolveProperties:
         rng = np.random.default_rng(seed)
         p_prev = rng.normal(scale=p_prev_scale, size=3 * L**2)
         prob = build_increment(real, SymTensor2(*F), p_prev=p_prev)
-        warm = prob.dofmap.unpack(rng.normal(scale=phi_scale, size=prob.dofmap.total))
+        warm = prob.cell.unpack(rng.normal(scale=phi_scale, size=prob.cell.total))
         state, report = solve_increment(prob, warm_start=warm)
         gate = SolverSettings().tol_residual * (1.0 + report.load_norm)
         assert report.converged
