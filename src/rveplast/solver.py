@@ -57,9 +57,12 @@ from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
-# CG replaces a new factor of S from this many displacement DOFs on (L >= 12);
-# on smaller cells a factor costs less than CG's ten or so iterations
-_PCG_MIN_DOFS = 256
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 10);
+# on smaller cells a factor costs less than CG's ten or so iterations.  Median
+# times of a ``run_path`` (seed 20240, samples 1-3, 7 runs each), factor
+# against CG, cyclic and monotonic: L=6 21/24 and 17/23 ms, L=8 31/31 and
+# 29/24 ms, L=10 58/46 and 51/37 ms, L=12 70/51 and 53/37 ms
+_PCG_MIN_DOFS = 192
 # CG iterations before the new S is factored instead: a factor costs 26
 # (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
 _PCG_MAX_ITER = 20
@@ -84,11 +87,11 @@ class SolveReport:
     ``residual`` is the optimality residual of the returned point (of the
     last point reached, if the solve failed).  ``iterations`` counts the
     Newton steps taken: 0 if the warm start already passes the certificate.
-    Only the displacements phi_0 of the warm start are read: ``energies[0]`` is ``increment_energy`` at
-    (p*(phi_0), phi_0), and each later entry adds the difference-form energy
-    change of one accepted step, so the sequence is nonincreasing and
-    ``energy`` (its last entry) equals ``increment_energy`` of the returned
-    state up to round-off.
+    Only the displacements phi_0 of the warm start are read:
+    ``energies[0]`` is ``increment_energy`` at (p*(phi_0), phi_0), and each
+    later entry adds the difference-form energy change of one accepted step,
+    so the sequence is nonincreasing and ``energy`` (its last entry) equals
+    ``increment_energy`` of the returned state up to round-off.
     """
 
     iterations: int = 0
@@ -100,6 +103,7 @@ class SolveReport:
     factors: int = 0  # new LU factors of the Schur complement
     pcg_solves: int = 0  # Newton steps solved by CG, a failed attempt included
     pcg_iterations: int = 0  # CG iterations of those solves
+    halvings: int = 0  # trial steps the line search rejected and halved
 
 
 class SolverError(RuntimeError):
@@ -240,11 +244,12 @@ def solve_increment(
 ) -> tuple[RveState, SolveReport]:
     """Minimize the increment functional until the optimality certificate holds.
 
-    Warm starting with the previous time step's state is the intended
-    use; the default start is the zero state.  Only the warm start's
-    displacements are read.  Raises SolverError with the diagnostic report
-    if max_outer Newton steps do not pass the certificate or a line search
-    finds no descent.
+    The default start is the zero state.  The start changes the Newton
+    steps taken, not the minimizer: ``run_path`` saves steps by starting at
+    the previous time steps' displacements extrapolated along the strain
+    path.  Only the warm start's displacements are read.  Raises
+    SolverError with the diagnostic report if max_outer Newton steps do not
+    pass the certificate or a line search finds no descent.
     """
     settings = settings or SolverSettings()
     cell = prob.cell
@@ -280,6 +285,7 @@ def solve_increment(
                 y = z
                 report.energies.append(report.energies[-1] + change)
                 break
+            report.halvings += 1
         else:
             failure = f"found no descent at Newton step {report.iterations}"
             break

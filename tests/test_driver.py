@@ -21,7 +21,7 @@ from rveplast.driver import (
 from rveplast.lattice import SymTensor2, ps_map
 from rveplast.randfield import MaterialLaw, restrict, sample
 from rveplast.reference import SpringParams, spring_trajectory
-from rveplast.solver import SolverSettings, optimality_residual
+from rveplast.solver import SolverSettings, optimality_residual, solve_increment
 
 LAW = MaterialLaw()
 MID = MaterialLaw.point_mass(1.5e6, 1.625e6, 1.0e3)
@@ -151,12 +151,15 @@ class TestRunPath:
     def test_increments_match_build_increment(self, monkeypatch):
         # run_path and build_increment make the same increments: the same load
         # bitwise, the previous step's plastic strains, the same A; the steps
-        # of one path share one Schur factor cache
+        # of one path share one Schur factor cache.  Each starts at the secant
+        # predictor phi_(l-1) + c_l (phi_(l-1) - phi_(l-2)), c_l from the strains
         solve = rveplast.driver.solve_increment
         problems = []
+        starts = []
 
         def spy(prob, **kwargs):
             problems.append(prob)
+            starts.append(kwargs["warm_start"].phi)
             return solve(prob, **kwargs)
 
         monkeypatch.setattr(rveplast.driver, "solve_increment", spy)
@@ -173,6 +176,56 @@ class TestRunPath:
             assert (prob.A != expected.A).nnz == 0
             assert prob.schur_factor is problems[0].schur_factor
         assert problems[0].schur_factor  # holds the path's last factor
+        phis = [np.zeros_like(starts[0])] + [state.phi for state, _ in records]
+        steps = np.diff(path.tensors, axis=0)
+        assert np.all(starts[0] == 0.0)
+        for l in range(2, path.n_steps + 1):
+            c = np.dot(steps[l - 1], steps[l - 2]) / np.dot(steps[l - 2], steps[l - 2])
+            expected = phis[l] + c * (phis[l] - phis[l - 1])
+            assert np.abs(starts[l - 1] - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert c < 0.0  # the last step reverses the load
+
+    @pytest.mark.parametrize(
+        "make_path", [monotonic_path, cyclic_path], ids=["monotonic", "cyclic"]
+    )
+    def test_secant_start_saves_newton_steps(self, make_path):
+        # the same certified states as starting each increment at the previous
+        # state, in fewer Newton steps
+        real = sample(LAW, 20240, 1, 14)
+        path = make_path()
+        reports = []
+        records = run_path(real, path, reports=reports)
+        state = RveState.zero(14)
+        steps = 0
+        for l in range(1, path.n_steps + 1):
+            prob = build_increment(real, path.tensor(l), p_prev=state.p)
+            state, report = solve_increment(prob, warm_start=state)
+            steps += report.iterations
+            s, s_ref = records[l][1].s, stress_vector(real, state, path.tensor(l))
+            assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
+        assert sum(rep.iterations for rep in reports) < steps
+
+    @pytest.mark.parametrize("L", [6, 14])
+    def test_uneven_steps_with_reversal_and_hold(self, L):
+        # the predictor's coefficient takes values other than 1, negative ones
+        # at the reversal and 0 after the hold; every increment is certified
+        f11 = [0, 4e-4, 1.2e-3, 1.2e-3, 1.5e-3, 2.4e-3, 3e-3, 2.2e-3, 1.9e-3, 5e-4, -2e-4, -1e-3]
+        tensors = np.zeros((len(f11), 3))
+        tensors[:, 0] = f11
+        path = StrainPath(np.arange(len(f11), dtype=float), tensors)
+        steps = np.diff(f11)
+        products = steps[1:] * steps[:-1]
+        assert np.any(steps == 0.0) and np.any(products < 0.0)
+        assert len(set(np.abs(steps[steps != 0.0]))) > 1  # uneven
+        real = sample(LAW, 20240, 2, L)
+        reports = []
+        records = run_path(real, path, reports=reports)
+        gate = SolverSettings().tol_residual
+        for l, rep in enumerate(reports, start=1):
+            prob = build_increment(real, path.tensor(l), p_prev=records[l - 1][0].p)
+            residual = optimality_residual(prob, records[l][0])
+            assert residual <= gate * (1.0 + rep.load_norm)
+            assert np.all(np.diff(rep.energies) <= 0.0)
 
     def test_fraction_monotone_under_monotone_load(self):
         real = sample(LAW, 4, 1, 6)

@@ -26,10 +26,12 @@ from rveplast.solver import (
 )
 
 LAW = MaterialLaw()
+# hardening moduli far below the elastic ones
+SOFT = MaterialLaw((1.5e6, 2e6), (1e5, 1.5e5), (1e2, 1e3))
 
 
-def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0):
-    real = sample(LAW, seed, 1, L)
+def random_problem(L, seed, scale=5e-3, p_prev_scale=0.0, law=LAW):
+    real = sample(law, seed, 1, L)
     rng = np.random.default_rng(seed)
     F = SymTensor2(*rng.normal(scale=scale, size=3))
     prob = build_increment(real, F)
@@ -77,6 +79,7 @@ class TestNewtonCorrection:
         exact = spla.spsolve(sp.csc_matrix(prob.A), prob.f)
         y = prob.cell.pack(state)
         assert report.iterations == 1  # the full step keeps every edge flowing: exact
+        assert report.halvings == 0
         assert np.abs(y - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_all_kinked_reduces_to_displacement_solve(self):
@@ -103,6 +106,30 @@ class TestNewtonCorrection:
             start = np.concatenate([_return_map(prob, phi0), phi0])
             assert report.energies[0] == increment_energy(prob, start)
             assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+
+    def test_halvings_count_rejected_trial_steps(self, monkeypatch):
+        # under soft hardening a Newton step on a flowing set overshoots onto
+        # the stiffer branch of edges that stick again; such a full step
+        # raises the energy and is halved.  Each trial step is one energy change
+        energy_change = rveplast.solver._energy_change
+        trials = []
+
+        def spy(*args):
+            trials.append(None)
+            return energy_change(*args)
+
+        monkeypatch.setattr(rveplast.solver, "_energy_change", spy)
+        rng = np.random.default_rng(4)
+        halvings = 0
+        for seed in range(5):
+            prob = random_problem(3, seed=40 + seed, law=SOFT)
+            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+            trials.clear()
+            _, report = solve_increment(prob, warm_start=warm)
+            assert len(trials) == report.iterations + report.halvings
+            assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+            halvings += report.halvings
+        assert halvings > 0
 
     def test_reused_factor_matches_fresh_problem(self):
         # the Schur factor is kept between solves on the same operator: a
