@@ -260,10 +260,11 @@ class TestRunPath:
         assert all(rep.converged for rep in reports)
 
     def test_reports_count_factors_and_pcg(self):
-        # one path shares one factor: CG solves the later flowing sets
+        # one path shares one factor: CG solves the later flowing sets, and
+        # some of those solves stop early on a changed side pattern
         real = sample(LAW, 7, 1, 14)
         reports = []
-        run_path(real, monotonic_path(), reports=reports)
+        records = run_path(real, monotonic_path(), reports=reports)
         steps = sum(rep.iterations for rep in reports)
         factors = sum(rep.factors for rep in reports)
         pcg_solves = sum(rep.pcg_solves for rep in reports)
@@ -271,6 +272,10 @@ class TestRunPath:
         assert pcg_solves > 0
         pcg_iterations = sum(rep.pcg_iterations for rep in reports)
         assert pcg_iterations <= rveplast.solver._PCG_MAX_ITER * pcg_solves
+        assert 0 < sum(rep.pattern_exits for rep in reports) < pcg_solves
+        for (before, _), (after, _), rep in zip(records, records[1:], reports):
+            assert rep.flowing == np.count_nonzero(after.p != before.p)
+        assert reports[0].flowing == 0 < reports[-1].flowing
 
 
 # Increments on which a solver that compares two evaluated energies stalls:

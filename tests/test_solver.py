@@ -95,17 +95,23 @@ class TestNewtonCorrection:
         assert np.abs(phi - phi_exact).max() <= 1e-12 * np.abs(phi_exact).max()
 
     def test_energy_never_increases(self):
-        # far warm starts, where a full step can raise the energy and is
-        # halved; only their phi is read
-        rng = np.random.default_rng(4)
-        for seed in range(5):
-            prob = random_problem(3, seed=40 + seed, p_prev_scale=2e-4)
-            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
-            _, report = solve_increment(prob, warm_start=warm)
-            phi0 = prob.cell.pack(warm)[prob.cell.n :]
-            start = np.concatenate([_return_map(prob, phi0), phi0])
-            assert report.energies[0] == increment_energy(prob, start)
-            assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+        # far warm starts; only their phi is read.  Under the default law no
+        # full step of these solves raises the energy, since a flowing edge's
+        # Newton curvature a h/(a + h) stays within a factor 2.6 of the stuck
+        # one, a; under soft hardening each of them has a full step that does,
+        # and the line search halves it
+        for law in (LAW, SOFT):
+            rng = np.random.default_rng(4)
+            for seed in range(5):
+                prob = random_problem(3, seed=40 + seed, p_prev_scale=2e-4, law=law)
+                warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+                _, report = solve_increment(prob, warm_start=warm)
+                phi0 = prob.cell.pack(warm)[prob.cell.n :]
+                start = np.concatenate([_return_map(prob, phi0), phi0])
+                assert report.energies[0] == increment_energy(prob, start)
+                assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+                if law is SOFT:
+                    assert report.halvings > 0
 
     def test_halvings_count_rejected_trial_steps(self, monkeypatch):
         # under soft hardening a Newton step on a flowing set overshoots onto
@@ -145,10 +151,12 @@ class TestNewtonCorrection:
             assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
             assert report.energies == rep_fresh.energies
 
-    def test_reused_factor_preconditions_above_threshold(self):
+    def test_reused_factor_preconditions_above_threshold(self, monkeypatch):
         # above the size threshold a kept factor of another flowing set
         # preconditions CG instead of being replaced: the same Newton steps
-        # and certified states within round-off of the CG residual
+        # and certified states within round-off of the CG residual.  CG runs
+        # to its target: the early exit on a changed side pattern is off
+        monkeypatch.setattr(rveplast.solver, "_PATTERN_CHECK", 0.0)
         prob = random_problem(14, seed=61, scale=1e-3, p_prev_scale=2e-4)
         assert prob.cell.m >= rveplast.solver._PCG_MIN_DOFS
         gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
@@ -177,27 +185,83 @@ def increment_on_path(L, step=25, seed=20240):
     return build_increment(real, path.tensor(step), p_prev=state.p), state
 
 
+def first_newton_step(L):
+    """S, the right-hand side and the CG target of the first Newton step of an increment."""
+    prob, state = increment_on_path(L)
+    n = prob.cell.n
+    phi = prob.cell.pack(state)[n:]
+    y = np.concatenate([_return_map(prob, phi), phi])
+    rhs = prob.f[n:] - (prob.A @ y)[n:]
+    flowing = y[:n] != prob.p_prev
+    S = prob.cell.schur(prob.a, prob.h, flowing)
+    target = SolverSettings().tol_residual * (1 + np.abs(prob.f).max()) / 10
+    return prob, flowing, S, rhs, target
+
+
 class TestPreconditionedSolve:
     @pytest.mark.parametrize("L", [14, 18])
     def test_factor_of_other_flowing_set_meets_target(self, L):
         # the first Newton step of an increment, preconditioned by factors of
         # its flowing set with a random 5% of the edges switched
-        prob, state = increment_on_path(L)
-        n = prob.cell.n
-        phi = prob.cell.pack(state)[n:]
-        y = np.concatenate([_return_map(prob, phi), phi])
-        rhs = prob.f[n:] - (prob.A @ y)[n:]
-        flowing = y[:n] != prob.p_prev
-        S = prob.cell.schur(prob.a, prob.h, flowing)
-        target = SolverSettings().tol_residual * (1 + np.abs(prob.f).max()) / 10
+        prob, flowing, S, rhs, target = first_newton_step(L)
         assert np.abs(rhs).max() > 1e6 * target
         rng = np.random.default_rng(L)
         for _ in range(3):
-            other = flowing ^ (rng.random(n) < 0.05)
+            other = flowing ^ (rng.random(prob.cell.n) < 0.05)
             lu = spla.splu(prob.cell.schur(prob.a, prob.h, other))
             d_phi, iterations = rveplast.solver._pcg(S, lu.solve, rhs, target)
             assert d_phi is not None and iterations <= rveplast.solver._PCG_MAX_ITER
             assert np.abs(S @ d_phi - rhs).max() <= target
+
+    def test_unchanged_pattern_continues_bitwise(self):
+        # a check that finds the pattern kept is asked once and leaves the
+        # iteration as it is without the check
+        prob, flowing, S, rhs, target = first_newton_step(14)
+        lu = spla.splu(prob.cell.schur(prob.a, prob.h, ~flowing))
+        asked = []
+        expected = rveplast.solver._pcg(S, lu.solve, rhs, target)
+        got = rveplast.solver._pcg(S, lu.solve, rhs, target, lambda x: asked.append(x) or False)
+        assert len(asked) == 1
+        assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
+
+    def test_changed_pattern_stops_at_check_level(self):
+        # a check that finds the pattern changed returns the first iterate at
+        # or under the check level, the one CG with that level as its target
+        # stops at, and before CG's own target
+        prob, flowing, S, rhs, target = first_newton_step(14)
+        lu = spla.splu(prob.cell.schur(prob.a, prob.h, ~flowing))
+        level = rveplast.solver._PATTERN_CHECK * np.abs(rhs).max()
+        asked = []
+        x, iterations = rveplast.solver._pcg(
+            S, lu.solve, rhs, target, lambda x: asked.append(x) or True
+        )
+        first, first_iterations = rveplast.solver._pcg(S, lu.solve, rhs, level)
+        assert len(asked) == 1 and asked[0] is x
+        assert iterations == first_iterations and np.array_equal(x, first)
+        assert target < np.abs(S @ x - rhs).max() <= level
+        assert iterations < rveplast.solver._pcg(S, lu.solve, rhs, target)[1]
+
+    def test_pattern_exits_save_cg_iterations(self, monkeypatch):
+        # on a monotonic path some CG solves stop at a step that changes the
+        # side pattern; every increment stays certified, the stresses move by
+        # round-off, and the path takes fewer CG iterations than without them
+        real = sample(LAW, 20240, 1, 14)
+        path = monotonic_path()
+        reports = []
+        records = run_path(real, path, reports=reports)
+        monkeypatch.setattr(rveplast.solver, "_PATTERN_CHECK", 0.0)
+        full_reports = []
+        full_records = run_path(real, path, reports=full_reports)
+        assert sum(rep.pattern_exits for rep in full_reports) == 0
+        assert sum(rep.pattern_exits for rep in reports) > 0
+        cg = sum(rep.pcg_iterations for rep in reports)
+        assert cg < sum(rep.pcg_iterations for rep in full_reports)
+        for l, rep in enumerate(reports, start=1):
+            prob = build_increment(real, path.tensor(l), p_prev=records[l - 1][0].p)
+            gate = SolverSettings().tol_residual * (1 + rep.load_norm)
+            assert optimality_residual(prob, records[l][0]) <= gate
+            s, s_full = records[l][1].s, full_records[l][1].s
+            assert np.abs(s - s_full).max() <= 1e-10 * np.abs(s_full).max()
 
     def test_cap_reached_refactors(self, monkeypatch):
         # with a cap of one iteration CG fails on almost every new flowing
