@@ -30,6 +30,7 @@ from .stats import (
     ErrorTable,
     McEnsemble,
     fit_scaling_slopes,
+    fit_window,
     monte_carlo,
     systematic_error_study,
     systematic_reference,
@@ -117,10 +118,9 @@ class RunConfig:
             if window is not None and (len(window) != 2 or window[0] > window[1]):
                 raise ConfigError(f"{key} must be two cell sizes lo,hi with lo <= hi, got {window}")
             if self.experiment in ("error-study", "variance-study"):
-                # the sizes that fit_scaling_slopes fits: the study's, less the reference
                 Ls, L_max = _study_sizes(self)
                 lo, hi = window or default
-                if len({L for L in Ls if lo <= L <= hi and L != L_max}) < 2:
+                if len(fit_window(Ls, L_max, (lo, hi))) < 2:
                     raise ConfigError(
                         f"{key} [{lo}, {hi}] must hold at least two cell sizes of {sorted(set(Ls))} "
                         f"other than the reference size {L_max}"

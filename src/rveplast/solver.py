@@ -69,12 +69,12 @@ from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
-# CG replaces a new factor of S from this many displacement DOFs on (L >= 10);
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 8);
 # on smaller cells a factor costs less than CG's ten or so iterations.  Median
-# times of a ``run_path`` (seed 20240, samples 1-3, 7 runs each), factor
-# against CG, cyclic and monotonic: L=6 21/24 and 17/23 ms, L=8 31/31 and
-# 29/24 ms, L=10 58/46 and 51/37 ms, L=12 70/51 and 53/37 ms
-_PCG_MIN_DOFS = 192
+# times of a ``run_path`` per sample (seed 20240, samples 1-3, 15 alternating
+# runs), factor against CG, cyclic and monotonic: L=6 18.8/20.7 and
+# 14.5/17.8 ms, L=7 22.6/23.2 and 20.1/21.8 ms, L=8 25.1/20.2 and 28.6/25.1 ms
+_PCG_MIN_DOFS = 120
 # CG iterations before the new S is factored instead: a factor costs 26
 # (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
 _PCG_MAX_ITER = 20
@@ -181,9 +181,7 @@ def _pcg(
     check_level = _PATTERN_CHECK * np.abs(b).max(initial=0.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
-    d = z
-    rz = r @ z
+    d = rz = None
     for iteration in range(_PCG_MAX_ITER + 1):
         residual = np.abs(r).max(initial=0.0)
         if residual <= target:
@@ -194,6 +192,10 @@ def _pcg(
             if changes_pattern(x):
                 return x, iteration
             changes_pattern = None
+        # the preconditioner runs only past the exits: k iterations make k solves with it
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        d = z if d is None else z + (rz / rz_old) * d
         q = S @ d
         dq = d @ q
         if not (0.0 < dq < np.inf and np.isfinite(rz)):
@@ -201,9 +203,6 @@ def _pcg(
         alpha = rz / dq
         x += alpha * d
         r -= alpha * q
-        z = precondition(r)
-        rz, rz_old = r @ z, rz
-        d = z + (rz / rz_old) * d
     return None, iteration
 
 

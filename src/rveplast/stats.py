@@ -3,8 +3,9 @@
 Sample runs are embarrassingly parallel; reductions always happen in
 ascending sample-id order, so results are bitwise independent of the
 worker count.  The error study follows the nested-restriction procedure:
-realizations are drawn once on the largest box and restricted to each
-smaller cell, which the position-keyed sampling makes exact.
+it runs the same sample ids 1..M at every cell size, and position-keyed
+sampling makes each of those realizations the restriction of the same
+sample id's realization on the largest box.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import StrainPath, run_path
-from .randfield import MaterialLaw, Realization, restrict, sample
+# restrict is not called here: benchmarks/tracing.py hooks rveplast.stats.restrict
+# by name, and benchmarks/test_smoke.py expects that hook to resolve
+from .randfield import MaterialLaw, Realization, restrict, sample  # noqa: F401
 from .solver import SolverSettings
 
 
@@ -40,50 +43,16 @@ class McEnsemble:
         return np.mean((self.stresses - self.mean) ** 2, axis=0)
 
 
-def _trajectory_arrays(records):
-    stresses = np.array([rec.s for _, rec in records])
-    fractions = np.array([rec.fractions for _, rec in records])
-    energies = np.array([rec.energy for _, rec in records])
-    return stresses, fractions, energies
-
-
 def _run_one(real: Realization, path: StrainPath, settings: SolverSettings | None):
     reports = []
     records = run_path(real, path, settings=settings, reports=reports)
-    residual = max((rep.residual for rep in reports), default=0.0)
-    residual_rel = max((rep.residual / (1.0 + rep.load_norm) for rep in reports), default=0.0)
-    monotone = all(
-        b <= a for rep in reports for a, b in zip(rep.energies, rep.energies[1:])
-    )
-    return (*_trajectory_arrays(records), residual, residual_rel, monotone)
-
-
-def _ensemble_from_realizations(
-    reals: list[Realization],
-    path: StrainPath,
-    settings: SolverSettings | None,
-    threads: int,
-) -> McEnsemble:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_one(r, path, settings), reals))
-    else:
-        results = [_run_one(r, path, settings) for r in reals]
-    stresses = np.array([res[0] for res in results])
-    fractions = np.array([res[1] for res in results])
-    energies = np.array([res[2] for res in results])
-    return McEnsemble(
-        L=reals[0].L,
-        M=len(reals),
-        times=path.times.copy(),
-        f11=path.tensors[:, 0].copy(),
-        stresses=stresses,
-        fractions=fractions,
-        energies=energies,
-        mean=stresses.mean(axis=0),
-        max_residual=max(res[3] for res in results),
-        max_residual_rel=max(res[4] for res in results),
-        energy_monotone=all(res[5] for res in results),
+    return (
+        np.array([rec.s for _, rec in records]),
+        np.array([rec.fractions for _, rec in records]),
+        np.array([rec.energy for _, rec in records]),
+        max((rep.residual for rep in reports), default=0.0),
+        max((rep.residual / (1.0 + rep.load_norm) for rep in reports), default=0.0),
+        all(b <= a for rep in reports for a, b in zip(rep.energies, rep.energies[1:])),
     )
 
 
@@ -100,7 +69,26 @@ def monte_carlo(
     if M < 1:
         raise ValueError("need at least one sample")
     reals = [sample(law, seed, i, L) for i in range(1, M + 1)]
-    return _ensemble_from_realizations(reals, path, settings, threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda r: _run_one(r, path, settings), reals))
+    else:
+        results = [_run_one(r, path, settings) for r in reals]
+    stresses, fractions, energies, residuals, residuals_rel, monotone = zip(*results)
+    stresses = np.array(stresses)
+    return McEnsemble(
+        L=int(L),
+        M=M,
+        times=path.times.copy(),
+        f11=path.tensors[:, 0].copy(),
+        stresses=stresses,
+        fractions=np.array(fractions),
+        energies=np.array(energies),
+        mean=stresses.mean(axis=0),
+        max_residual=max(residuals),
+        max_residual_rel=max(residuals_rel),
+        energy_monotone=all(monotone),
+    )
 
 
 @dataclass(frozen=True)
@@ -169,6 +157,12 @@ def _closest_step(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
 
 
+def fit_window(Ls, L_max: int, bounds: tuple[int, int]) -> tuple[int, ...]:
+    """The cell sizes a slope fit uses: those of Ls in [lo, hi], less the reference L_max."""
+    lo, hi = bounds
+    return tuple(L for L in sorted(set(Ls)) if lo <= L <= hi and L != L_max)
+
+
 def fit_scaling_slopes(
     table: "ErrorTable",
     sys_window: tuple[int, int] = DEFAULT_SYS_WINDOW,
@@ -178,11 +172,11 @@ def fit_scaling_slopes(
     fits = []
     for label, t in REGIME_TIMES.items():
         l = _closest_step(table.times, t)
-        for quantity, data, (lo, hi) in (
+        for quantity, data, bounds in (
             ("e_sys", table.e_sys, sys_window),
             ("variance", table.variance, var_window),
         ):
-            window = tuple(L for L in table.Ls if lo <= L <= hi and L != table.L_max)
+            window = fit_window(table.Ls, table.L_max, bounds)
             vals = np.array([data[L][l, 0] for L in window])
             if len(window) >= 2 and np.all(vals > 0):
                 fits.append(SlopeFit(quantity, label, window, loglog_slope(window, vals)))
@@ -201,41 +195,32 @@ def systematic_error_study(
 ) -> ErrorTable:
     """Nested-restriction error study against the largest cell.
 
-    Samples M realizations on the box of side L_max, restricts each to
-    every requested L, runs the path and compares the Monte-Carlo means:
-    e_sys(L) = |mean_L - mean_Lmax| componentwise, zero at L_max by
-    construction.  The per-L biased sample variances come along for free.
+    Runs ``monte_carlo`` with sample ids 1..M at every requested L and at
+    L_max.  Position-keyed sampling makes each realization on the cell of
+    side L the restriction of the same sample id's realization on the box
+    of side L_max, so this is the paper's nested procedure.  It compares
+    the Monte-Carlo means: e_sys(L) = |mean_L - mean_Lmax| componentwise,
+    zero at L_max by construction.  The per-L biased sample variances come
+    along for free.
     """
     Ls = sorted(set(int(L) for L in Ls))
     if any(L > L_max for L in Ls):
         raise ValueError(f"every L must be <= L_max={L_max}")
-    bigs = [sample(law, seed, i, L_max) for i in range(1, M + 1)]
-    mean, e_sys, variance = {}, {}, {}
-    max_residual = 0.0
-    max_residual_rel = 0.0
-    monotone = True
-    for L in sorted(set(Ls) | {L_max}):
-        ens = _ensemble_from_realizations(
-            [restrict(big, L) for big in bigs], path, settings, threads
-        )
-        mean[L] = ens.mean
-        variance[L] = ens.variance()
-        max_residual = max(max_residual, ens.max_residual)
-        max_residual_rel = max(max_residual_rel, ens.max_residual_rel)
-        monotone = monotone and ens.energy_monotone
-    for L in mean:
-        e_sys[L] = np.abs(mean[L] - mean[L_max])
+    ens = {
+        L: monte_carlo(law, L, M, seed, path, settings, threads)
+        for L in sorted(set(Ls) | {L_max})
+    }
     return ErrorTable(
         Ls=tuple(Ls),
         L_max=int(L_max),
         times=path.times.copy(),
         f11=path.tensors[:, 0].copy(),
-        mean=mean,
-        e_sys=e_sys,
-        variance=variance,
-        max_residual=max_residual,
-        max_residual_rel=max_residual_rel,
-        energy_monotone=monotone,
+        mean={L: e.mean for L, e in ens.items()},
+        e_sys={L: np.abs(e.mean - ens[L_max].mean) for L, e in ens.items()},
+        variance={L: e.variance() for L, e in ens.items()},
+        max_residual=max(e.max_residual for e in ens.values()),
+        max_residual_rel=max(e.max_residual_rel for e in ens.values()),
+        energy_monotone=all(e.energy_monotone for e in ens.values()),
     )
 
 

@@ -21,7 +21,7 @@ from rveplast.cli import (
 from rveplast.driver import monotonic_path
 from rveplast.randfield import ConfigError, MaterialLaw
 from rveplast.solver import SolverSettings
-from rveplast.stats import monte_carlo
+from rveplast.stats import fit_scaling_slopes, monte_carlo, systematic_error_study
 
 
 class TestParseConfig:
@@ -93,6 +93,25 @@ class TestParseConfig:
         # without windows the default sys window [6, 26] holds one size of the study
         with pytest.raises(ConfigError, match="sys_window"):
             parse_config(args)
+
+    @pytest.mark.parametrize("window, sizes", [([4, 5], 1), ([5, 8], 1), ([4, 6], 2)])
+    def test_window_rule_shared_by_validation_and_fit(self, window, sizes):
+        # sizes: the study's cell sizes other than L_max=8 inside the window.  The
+        # config check refuses exactly the windows that the fit skips; eight steps
+        # put a nonzero stress at every regime time
+        path = monotonic_path(n_steps=8)
+        table = systematic_error_study(MaterialLaw(), [4, 6], 8, 2, 20240, path)
+        config = RunConfig(
+            "error-study", M=2, N=8, L_list=[4, 6], L_max=8, sys_window=window, var_window=window
+        )
+        fits = fit_scaling_slopes(table, tuple(window), tuple(window))
+        if sizes == 2:
+            config.validate()
+            assert len(fits) == 6 and {fit.window for fit in fits} == {(4, 6)}
+        else:
+            with pytest.raises(ConfigError, match="at least two cell sizes"):
+                config.validate()
+            assert fits == []
 
     def test_one_flag_per_config_key(self):
         # the README promises that flags mirror the config keys one-to-one

@@ -224,6 +224,19 @@ class TestPreconditionedSolve:
         assert len(asked) == 1
         assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_one_preconditioner_solve_per_iteration(self, check):
+        # no solve is made for an iterate that an exit then returns, whether
+        # the exit is the target or a changed side pattern
+        prob, flowing, S, rhs, target = first_newton_step(14)
+        lu = spla.splu(prob.cell.schur(prob.a, prob.h, ~flowing))
+        solves = []
+        x, iterations = rveplast.solver._pcg(
+            S, lambda r: solves.append(r) or lu.solve(r), rhs, target, lambda x: check
+        )
+        assert x is not None and iterations > 0
+        assert len(solves) == iterations
+
     def test_changed_pattern_stops_at_check_level(self):
         # a check that finds the pattern changed returns the first iterate at
         # or under the check level, the one CG with that level as its target

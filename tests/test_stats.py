@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rveplast.driver import monotonic_path, run_path
-from rveplast.randfield import MaterialLaw, sample
+from rveplast.randfield import MaterialLaw, restrict, sample
 from rveplast.stats import (
     McEnsemble,
     loglog_slope,
@@ -123,13 +123,18 @@ class TestErrorStudy:
         assert np.all(table.e_sys[6] == 0.0)
 
     def test_restriction_study_matches_direct_sampling(self):
-        # position-keyed sampling makes the restricted ensembles identical
-        # to directly sampled ones
+        # the study samples every cell size directly; position-keyed sampling
+        # makes those ensembles the ones of the L_max realizations restricted
         path = monotonic_path(n_steps=4)
         table = systematic_error_study(LAW, [4], 8, 3, 12, path)
-        direct = monte_carlo(LAW, 4, 3, 12, path)
-        assert np.array_equal(table.mean[4], direct.mean)
-        assert np.array_equal(table.variance[4], direct.variance())
+        restricted = tiny_ensemble(
+            [
+                [rec.s for _, rec in run_path(restrict(sample(LAW, 12, i, 8), 4), path)]
+                for i in (1, 2, 3)
+            ]
+        )
+        assert np.array_equal(table.mean[4], restricted.mean)
+        assert np.array_equal(table.variance[4], restricted.variance())
 
     def test_zero_at_reference_and_errors_recorded(self):
         path = monotonic_path(n_steps=4)
