@@ -14,9 +14,10 @@ type alpha.
 The edge derivatives are linear in the free displacements, g = G phi, with
 a sparse n x m matrix G (n edges, m free displacement components) that
 depends on the cell size alone.  ``CellStructure`` is the one object per
-cell size: it numbers the degrees of freedom y = [p; phi], holds the clamp
-and G, and maps states to vectors and back.  Everything a realization
-needs follows from G and its edge values a, h:
+cell size: it numbers the degrees of freedom y = [p; phi], holds the clamp,
+G and the order in which S is factored, and maps states to vectors and
+back.  Everything a realization needs follows from G and its edge values
+a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
     f       = [a Fhat; -G.T (a Fhat)]
@@ -42,9 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .lattice import D, EDGE_COEFF, K, edge_heads, ps_map, wrap_node
 from .randfield import Realization
+
+# LU of a Schur complement: S is positive definite, so its diagonal pivots
+# need no row exchanges, and SymmetricMode keeps the symmetric ordering
+_LU_OPTIONS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,16 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
+def _on_pattern(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csc_matrix:
+    """The symmetric matrix with ``data`` on ``pattern``: its CSR arrays are its CSC arrays."""
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _series(a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
+    """k = a h / (a + h) on the flowing edges, a on the stuck ones."""
+    return np.where(flowing, a * h / (a + h), a)
+
+
 class CellStructure:
     """The cell of side L: its DOF numbering and clamp, G, and the patterns of A and S.
 
@@ -95,8 +111,11 @@ class CellStructure:
     A and S(k) are sums of one rank-one term per edge, so each has a fixed
     pattern and a sparse map from the edge values to its data:
     A.data = M [a; h], and S(k).data = P k with P_(i,j),e = G_ei G_ej, at
-    most 16 entries per edge.  The arrays are read-only, because
-    realizations on several threads share one structure.
+    most 16 entries per edge.  ``schur_order`` is the fill-reducing order
+    of that pattern, the minimum degree order SuperLU would compute for
+    every factor of S; S is factored in it, built directly on a second
+    pattern and map, so no factor orders S again.  The arrays are
+    read-only, because realizations on several threads share one structure.
     """
 
     def __init__(self, L: int, clamped: bool = True):
@@ -124,6 +143,16 @@ class CellStructure:
         self.G = sp.csr_matrix((weight[keep], (rows, dof[keep])), shape=(n, m))
         self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
         self.schur_pattern, self.schur_map = _quadratic_map(dof, weight, m)
+        # the order is structural: G.T G + I has the pattern of every S(k)
+        # and is positive definite with or without the clamp
+        gram = _on_pattern(self.schur_pattern, self.schur_map @ np.ones(n)) + sp.identity(m)
+        lu = spla.splu(gram.tocsc(), permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS)
+        self.schur_order = np.argsort(lu.perm_c)  # perm_c[i] is the position of column i
+        # position[-1] = -1 keeps the clamped components' -1
+        position = np.full(m + 1, -1, dtype=np.intp)
+        position[self.schur_order] = np.arange(m)
+        self._ordered_pattern, self._ordered_map = _quadratic_map(position[dof], weight, m)
+        self._schur_position = position[:m]  # the inverse of schur_order
         # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
         stencil = np.column_stack([edges, dof + n])
         ones = np.ones((n, 1))
@@ -133,8 +162,9 @@ class CellStructure:
             self.total,
         )
         matrices = (self.G, self.G_t, self.schur_pattern, self.schur_map, self.A_pattern, self.A_map)
+        matrices += (self._ordered_pattern, self._ordered_map)
         arrays = [arr for mat in matrices for arr in (mat.data, mat.indices, mat.indptr)]
-        for arr in arrays + [self.clamped_nodes, self.free]:
+        for arr in arrays + [self.clamped_nodes, self.free, self.schur_order, self._schur_position]:
             arr.flags.writeable = False
 
     def pack(self, state: RveState) -> np.ndarray:
@@ -174,11 +204,22 @@ class CellStructure:
 
     def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
         """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere."""
-        k = np.where(flowing, a * h / (a + h), a)
-        pattern = self.schur_pattern
-        data = self.schur_map @ k
-        # S is symmetric: the CSR arrays of its pattern are also its CSC arrays
-        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return _on_pattern(self.schur_pattern, self.schur_map @ _series(a, h, flowing))
+
+    def factor_schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> spla.SuperLU:
+        """LU factor of S(k) in ``schur_order``; ``solve_schur`` solves with it.
+
+        The factor is that of S(k)[o][:, o] with o = schur_order, built
+        directly in that order.  Raises RuntimeError if SuperLU finds S
+        singular.
+        """
+        ordered = _on_pattern(self._ordered_pattern, self._ordered_map @ _series(a, h, flowing))
+        return spla.splu(ordered, permc_spec="NATURAL", **_LU_OPTIONS)
+
+    def solve_schur(self, lu, b: np.ndarray) -> np.ndarray:
+        """x with S x = b, for the factor ``lu`` of S that ``factor_schur`` made."""
+        # two gathers: a scatter into x costs twice a gather
+        return lu.solve(b[self.schur_order])[self._schur_position]
 
 
 @functools.lru_cache(maxsize=8)
@@ -208,11 +249,11 @@ class IncrementProblem:
 
     ``a`` and ``h`` are the edge moduli ``A`` is made of on ``cell``; the
     solver's return map and Schur complement read them.  ``schur_factor``
-    holds the solver's last factor of a Schur complement, paired with the
-    flowing set it eliminated ("last").  The increments of one path share
-    it: the factor solves directly while the flowing set repeats and
-    preconditions CG on other flowing sets; it is never shared between
-    threads.
+    holds the solver's last factor of a Schur complement
+    (``CellStructure.factor_schur``), paired with the flowing set it
+    eliminated ("last").  The increments of one path share it: the factor
+    solves directly while the flowing set repeats and preconditions CG on
+    other flowing sets; it is never shared between threads.
     """
 
     A: sp.csr_matrix = field(repr=False)

@@ -14,6 +14,8 @@ being (p*(phi + s dphi), phi + s dphi).
 
 S is one sparse matrix-vector product onto a fixed pattern.  The increments
 of a path hold one LU factor of S, that of the last flowing set factored.
+The factor is made in the fill-reducing order the cell computes once for
+that pattern (``CellStructure.factor_schur``), so no factor orders S again.
 It solves directly while the flowing set repeats.  On a new flowing set of
 a large cell it preconditions conjugate gradients on the new S instead:
 x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e is 1 or h_e/(a_e + h_e), so the
@@ -21,8 +23,8 @@ factor of any earlier S is a preconditioner of condition number at most
 max (a + h)/h when one flowing set contains the other (its square in
 general).  CG then needs about ten iterations, where a new factor costs the
 time of about thirty.  Only when CG reaches its iteration cap or breaks
-down, on small cells where a factor is cheaper, and on the first step of a
-path is the new S factored; its factor replaces the old.
+down, on small cells (L < 10) where a factor is cheaper, and on the first
+step of a path is the new S factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -63,18 +65,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
-# CG replaces a new factor of S from this many displacement DOFs on (L >= 8);
-# on smaller cells a factor costs less than CG's ten or so iterations.  Median
-# times of a ``run_path`` per sample (seed 20240, samples 1-3, 15 alternating
-# runs), factor against CG, cyclic and monotonic: L=6 18.8/20.7 and
-# 14.5/17.8 ms, L=7 22.6/23.2 and 20.1/21.8 ms, L=8 25.1/20.2 and 28.6/25.1 ms
-_PCG_MIN_DOFS = 120
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 10);
+# on smaller cells a factor, made in the cell's precomputed order, costs less
+# than CG's ten or so iterations.  Median times of ``run_path`` on samples 1-3
+# (seed 20240, 15 alternating runs), factor against CG, cyclic and monotonic:
+# L=8 62.6/65.3 and 74.5/81.6 ms, L=9 102.0/103.2 and 59.6/63.0 ms, L=10
+# 101.8/97.7 and 96.7/101.4 ms; over three or four such runs CG was faster
+# in 3-5 and 0-5 of 15 at L=8, 1-7 and 2-4 at L=9, and 9-12 and 8-9 at L=10
+_PCG_MIN_DOFS = 192
 # CG iterations before the new S is factored instead: a factor costs 26
 # (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
 _PCG_MAX_ITER = 20
@@ -219,15 +222,15 @@ def _newton_direction(
     step).  The new S is factored, and its factor replaces the old, only if
     there is no factor yet, the cell is small, or CG fails.
     """
-    n = prob.cell.n
+    cell = prob.cell
+    n = cell.n
     # an edge with r = 0 is never stuck: its return map is linear in phi
     flowing = (prob.r == 0.0) | (y[:n] != prob.p_prev)
     key = flowing.tobytes()
     cache = prob.schur_factor
     last_key, last_lu = cache.get("last", (None, None))
     if last_key == key:
-        return last_lu.solve(rhs)
-    S = prob.cell.schur(prob.a, prob.h, flowing)
+        return cell.solve_schur(last_lu, rhs)
     if last_lu is not None and rhs.size >= _PCG_MIN_DOFS:
 
         def changes_pattern(d_phi: np.ndarray) -> bool:
@@ -238,7 +241,10 @@ def _newton_direction(
             report.pattern_exits += changed
             return changed
 
-        d_phi, iterations = _pcg(S, last_lu.solve, rhs, target, changes_pattern)
+        S = cell.schur(prob.a, prob.h, flowing)
+        d_phi, iterations = _pcg(
+            S, lambda r: cell.solve_schur(last_lu, r), rhs, target, changes_pattern
+        )
         report.pcg_solves += 1
         report.pcg_iterations += iterations
         if d_phi is not None:
@@ -249,13 +255,11 @@ def _newton_direction(
     cache.clear()
     report.factors += 1
     try:
-        lu = spla.splu(
-            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        lu = cell.factor_schur(prob.a, prob.h, flowing)
     except RuntimeError as err:
         raise SolverError(f"Schur complement not factorizable: {err}", report) from err
     cache["last"] = (key, lu)
-    return lu.solve(rhs)
+    return cell.solve_schur(lu, rhs)
 
 
 def _certificate(prob: IncrementProblem, y: np.ndarray, g: np.ndarray) -> float:

@@ -202,7 +202,7 @@ def edge_derivatives(state, L):
     )
 
 
-class TestLoadBasis:
+class TestLoadStressPairing:
     """assemble_load and stress_vector (both made from G) edge by edge."""
 
     F = SymTensor2(1.2e-3, -0.9e-3, 0.4e-3)  # F12 != 0 loads the diagonal edges apart
@@ -234,18 +234,18 @@ class TestLoadBasis:
             tol = 1e-13 * np.abs(terms).sum(axis=1) / L**2
             assert np.all(np.abs(stress_vector(real, state, self.F) - expected) <= tol)
 
+
+class TestCellStructure:
     def test_builder_shares_operator_and_structure(self):
         # a given A is reused, and every increment of a cell size reads the
         # same structure
         real = sample(LAW, 60, 1, 4)
         A = assemble_operator(real)
-        prob = build_increment(real, self.F, A=A)
+        prob = build_increment(real, SymTensor2(1.2e-3, -0.9e-3, 0.4e-3), A=A)
         assert prob.A is A and np.all(prob.p_prev == 0.0)
         second = build_increment(real, SymTensor2.zero())
         assert second.cell is prob.cell and second.schur_factor is not prob.schur_factor
 
-
-class TestCellStructure:
     def test_one_read_only_structure_per_cell_size(self):
         # worker threads share the structure: it is made once per L and
         # nobody may write to it
@@ -253,7 +253,7 @@ class TestCellStructure:
         first = build_increment(sample(LAW, 61, 1, 5), SymTensor2.zero()).cell
         second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
         assert second is first and cell_structure.cache_info().misses == 1
-        arrays = [first.clamped_nodes, first.free]
+        arrays = [first.clamped_nodes, first.free, first.schur_order]
         for mat in (first.G, first.G_t, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
             arrays += [mat.data, mat.indices, mat.indptr]
         assert not any(arr.flags.writeable for arr in arrays)
@@ -291,6 +291,49 @@ class TestOperatorBlocks:
         _, _, n, cell = schur_setup(6)
         per_dof = np.diff(cell.schur_map.tocsc().indptr)
         assert per_dof.size == n and per_dof.max() == 16
+
+
+class TestSchurFactor:
+    """The LU factor of S in the cell's precomputed order against SuperLU ordering S itself."""
+
+    @pytest.mark.parametrize("L", [2, 3, 6, 14, 30])
+    def test_order_is_a_permutation(self, L):
+        cell = cell_structure(L)
+        assert np.array_equal(np.sort(cell.schur_order), np.arange(cell.m))
+
+    @pytest.mark.parametrize("L", [6, 14, 30])
+    def test_same_fill_and_solve_as_minimum_degree_factor(self, L):
+        # the order is the one SuperLU computes for S: no extra fill, and
+        # the same solution up to round-off
+        real, _, n, cell = schur_setup(L)
+        rng = np.random.default_rng(L)
+        flowing = rng.random(n) < 0.5
+        S = cell.schur(real.a, real.h, flowing)
+        reference = spla.splu(
+            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+        lu = cell.factor_schur(real.a, real.h, flowing)
+        assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+        b = rng.normal(size=cell.m)
+        expected = reference.solve(b)
+        x = cell.solve_schur(lu, b)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(S @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_clamped_only_cell_has_empty_factor(self):
+        real, _, n, cell = schur_setup(2)
+        assert cell.m == 0 and cell.schur_order.size == 0
+        lu = cell.factor_schur(real.a, real.h, np.ones(n, dtype=bool))
+        assert cell.solve_schur(lu, np.zeros(0)).shape == (0,)
+
+    def test_smallest_free_cell_solves(self):
+        real, _, n, cell = schur_setup(3)
+        flowing = np.arange(n) % 2 == 0
+        S = cell.schur(real.a, real.h, flowing).toarray()
+        b = np.random.default_rng(3).normal(size=cell.m)
+        x = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
+        expected = np.linalg.solve(S, b)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestIncrementEnergy:
