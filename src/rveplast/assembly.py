@@ -15,8 +15,8 @@ The edge derivatives are linear in the free displacements, g = G phi, with
 a sparse n x m matrix G (n edges, m free displacement components) that
 depends on the cell size alone.  ``CellStructure`` is the one object per
 cell size: it numbers the degrees of freedom y = [p; phi], holds the clamp,
-G and the order in which S is factored, and maps states to vectors and
-back.  Everything a realization needs follows from G and its edge values
+G and the order in which S is factored sparse, and maps states to vectors
+and back.  Everything a realization needs follows from G and its edge values
 a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .lattice import D, EDGE_COEFF, K, edge_heads, ps_map, wrap_node
 from .randfield import Realization
@@ -221,6 +222,37 @@ class CellStructure:
         # two gathers: a scatter into x costs twice a gather
         return lu.solve(b[self.schur_order])[self._schur_position]
 
+    @functools.cached_property
+    def _schur_flat(self) -> np.ndarray:
+        """Flat index row * m + col of each entry of ``schur_pattern`` in a dense m x m array."""
+        pattern = self.schur_pattern
+        rows = np.repeat(np.arange(self.m), np.diff(pattern.indptr))
+        flat = rows * self.m + pattern.indices
+        flat.flags.writeable = False
+        return flat
+
+    def factor_schur_dense(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
+        """Dense Cholesky factor of S(k) (LAPACK dpotrf); ``solve_schur_dense`` solves with it.
+
+        For small cells, where SuperLU's overhead outweighs the fill of a
+        dense m x m factor.  S is scattered into the array once; pattern and
+        values are symmetric, so the C-ordered array is its own Fortran-ordered
+        transpose and is factored in place.  Raises RuntimeError if S is not
+        positive definite.  The index array is made on the first call, so
+        cells that never factor densely hold none.
+        """
+        dense = np.zeros(self.m * self.m)
+        dense[self._schur_flat] = self.schur_map @ _series(a, h, flowing)
+        c, info = lapack.dpotrf(dense.reshape(self.m, self.m).T, lower=0, clean=0, overwrite_a=1)
+        if info != 0:
+            raise RuntimeError(f"S is not positive definite (dpotrf info {info})")
+        return c
+
+    @staticmethod
+    def solve_schur_dense(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with S x = b, for the factor ``c`` of S that ``factor_schur_dense`` made."""
+        return lapack.dpotrs(c, b, lower=0)[0]
+
 
 @functools.lru_cache(maxsize=8)
 def cell_structure(L: int) -> CellStructure:
@@ -249,11 +281,12 @@ class IncrementProblem:
 
     ``a`` and ``h`` are the edge moduli ``A`` is made of on ``cell``; the
     solver's return map and Schur complement read them.  ``schur_factor``
-    holds the solver's last factor of a Schur complement
-    (``CellStructure.factor_schur``), paired with the flowing set it
-    eliminated ("last").  The increments of one path share it: the factor
-    solves directly while the flowing set repeats and preconditions CG on
-    other flowing sets; it is never shared between threads.
+    holds the solve with the solver's last factor of a Schur complement
+    (``CellStructure.factor_schur_dense`` or ``factor_schur``), paired with
+    the flowing set it eliminated ("last").  The increments of one path
+    share it: the factor solves directly while the flowing set repeats and
+    preconditions CG on other flowing sets; it is never shared between
+    threads.
     """
 
     A: sp.csr_matrix = field(repr=False)

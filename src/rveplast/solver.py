@@ -13,18 +13,21 @@ solves S(k) dphi = -grad E(phi) and backtracks along phi, every trial point
 being (p*(phi + s dphi), phi + s dphi).
 
 S is one sparse matrix-vector product onto a fixed pattern.  The increments
-of a path hold one LU factor of S, that of the last flowing set factored.
-The factor is made in the fill-reducing order the cell computes once for
-that pattern (``CellStructure.factor_schur``), so no factor orders S again.
-It solves directly while the flowing set repeats.  On a new flowing set of
-a large cell it preconditions conjugate gradients on the new S instead:
-x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e is 1 or h_e/(a_e + h_e), so the
-factor of any earlier S is a preconditioner of condition number at most
-max (a + h)/h when one flowing set contains the other (its square in
-general).  CG then needs about ten iterations, where a new factor costs the
-time of about thirty.  Only when CG reaches its iteration cap or breaks
-down, on small cells (L < 10) where a factor is cheaper, and on the first
-step of a path is the new S factored; its factor replaces the old.
+of a path hold one factor of S, that of the last flowing set factored, and
+solve directly with it while the flowing set repeats.  On a small cell
+(L < 12) every new flowing set is factored: S is scattered into a dense
+array and factored by LAPACK's Cholesky (``CellStructure.factor_schur_dense``),
+which costs a fraction of SuperLU's per-call overhead at these sizes.  On a
+large cell the factor is an LU factor made in the fill-reducing order the
+cell computes once for that pattern (``CellStructure.factor_schur``), so no
+factor orders S again, and on a new flowing set it preconditions conjugate
+gradients on the new S instead: x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e
+is 1 or h_e/(a_e + h_e), so the factor of any earlier S is a preconditioner
+of condition number at most max (a + h)/h when one flowing set contains the
+other (its square in general).  CG then needs about ten iterations, where a
+new factor costs the time of about thirty.  Only when CG reaches its
+iteration cap or breaks down, and on the first step of a path, is the new S
+of a large cell factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -63,6 +66,7 @@ descent direction, so the line search takes an early step like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -70,14 +74,16 @@ from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
-# CG replaces a new factor of S from this many displacement DOFs on (L >= 10);
-# on smaller cells a factor, made in the cell's precomputed order, costs less
-# than CG's ten or so iterations.  Median times of ``run_path`` on samples 1-3
-# (seed 20240, 15 alternating runs), factor against CG, cyclic and monotonic:
-# L=8 62.6/65.3 and 74.5/81.6 ms, L=9 102.0/103.2 and 59.6/63.0 ms, L=10
-# 101.8/97.7 and 96.7/101.4 ms; over three or four such runs CG was faster
-# in 3-5 and 0-5 of 15 at L=8, 1-7 and 2-4 at L=9, and 9-12 and 8-9 at L=10
-_PCG_MIN_DOFS = 192
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 12);
+# on smaller cells a dense Cholesky factor of S costs less than CG's ten or so
+# iterations.  Median times of ``run_path`` on samples 1-3 (seed 20240, 15
+# alternating rounds, one thread), dense factor against CG, cyclic and
+# monotonic, in ms [rounds of 15 CG was faster in], three runs each:
+# L=10 77.8/106.0 and 74.0/99.9 [0, 0 in every run]; L=11 85.5/90.9 and
+# 81.0/85.1 [4, 3], 92.9/95.4 and 72.1/81.1 [4, 3], 115.7/127.8 and
+# 76.6/85.7 [3, 4]; L=12 112.0/108.3 and 102.0/110.4 [10, 13], 114.4/101.3
+# and 99.2/99.1 [15, 8], 127.5/109.0 and 93.8/84.5 [13, 12]
+_PCG_MIN_DOFS = 280
 # CG iterations before the new S is factored instead: a factor costs 26
 # (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
 _PCG_MAX_ITER = 20
@@ -214,9 +220,10 @@ def _newton_direction(
 ) -> np.ndarray:
     """Solve S(k) d_phi = rhs on the flowing set of the point y.
 
-    ``prob.schur_factor`` holds the path's last LU factor of a Schur
-    complement, keyed by the flowing set it eliminated ("last").  On that
-    set the factor solves directly.  On another set of a large cell it
+    ``prob.schur_factor`` holds the solve with the path's last factor of a
+    Schur complement, keyed by the flowing set it eliminated ("last"): the
+    dense Cholesky factor on a small cell, the LU factor on a large one.  On
+    that set the factor solves directly.  On another set of a large cell it
     preconditions CG on the new S down to max|S d_phi - rhs| <= target, or
     until an iterate already changes the side pattern of y (an inexact
     step).  The new S is factored, and its factor replaces the old, only if
@@ -228,10 +235,11 @@ def _newton_direction(
     flowing = (prob.r == 0.0) | (y[:n] != prob.p_prev)
     key = flowing.tobytes()
     cache = prob.schur_factor
-    last_key, last_lu = cache.get("last", (None, None))
+    last_key, last_solve = cache.get("last", (None, None))
     if last_key == key:
-        return cell.solve_schur(last_lu, rhs)
-    if last_lu is not None and rhs.size >= _PCG_MIN_DOFS:
+        return last_solve(rhs)
+    small = rhs.size < _PCG_MIN_DOFS
+    if last_solve is not None and not small:
 
         def changes_pattern(d_phi: np.ndarray) -> bool:
             side = np.sign(y[:n] - prob.p_prev)
@@ -242,24 +250,26 @@ def _newton_direction(
             return changed
 
         S = cell.schur(prob.a, prob.h, flowing)
-        d_phi, iterations = _pcg(
-            S, lambda r: cell.solve_schur(last_lu, r), rhs, target, changes_pattern
-        )
+        d_phi, iterations = _pcg(S, last_solve, rhs, target, changes_pattern)
         report.pcg_solves += 1
         report.pcg_iterations += iterations
         if d_phi is not None:
             return d_phi
     # free the old factor before making the new one: holding both fragments
     # the heap and raised the peak RSS of one L=30 path run from 68 to 80 MB
-    del last_lu
+    del last_solve
     cache.clear()
     report.factors += 1
     try:
-        lu = cell.factor_schur(prob.a, prob.h, flowing)
+        if small:
+            factor, solve_with = cell.factor_schur_dense, cell.solve_schur_dense
+        else:
+            factor, solve_with = cell.factor_schur, cell.solve_schur
+        solve = partial(solve_with, factor(prob.a, prob.h, flowing))
     except RuntimeError as err:
         raise SolverError(f"Schur complement not factorizable: {err}", report) from err
-    cache["last"] = (key, lu)
-    return cell.solve_schur(lu, rhs)
+    cache["last"] = (key, solve)
+    return solve(rhs)
 
 
 def _certificate(prob: IncrementProblem, y: np.ndarray, g: np.ndarray) -> float:

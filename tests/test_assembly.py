@@ -19,6 +19,13 @@ from rveplast.assembly import (
 from rveplast.driver import stress_vector
 from rveplast.lattice import K, SymTensor2, edge_strains, projected_edge_derivative, ps_map
 from rveplast.randfield import MaterialLaw, sample
+from rveplast.solver import (
+    _PCG_MIN_DOFS,
+    SolverError,
+    SolverSettings,
+    optimality_residual,
+    solve_increment,
+)
 
 LAW = MaterialLaw()
 
@@ -294,7 +301,7 @@ class TestOperatorBlocks:
 
 
 class TestSchurFactor:
-    """The LU factor of S in the cell's precomputed order against SuperLU ordering S itself."""
+    """The factors of S: LU in the cell's precomputed order, and dense Cholesky on small cells."""
 
     @pytest.mark.parametrize("L", [2, 3, 6, 14, 30])
     def test_order_is_a_permutation(self, L):
@@ -334,6 +341,50 @@ class TestSchurFactor:
         x = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
         expected = np.linalg.solve(S, b)
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    # 11 is the largest cell the solver factors densely
+    @pytest.mark.parametrize("L", [3, 4, 6, 8, 11])
+    @pytest.mark.parametrize("active", ["empty", "full", "random"])
+    def test_dense_factor_solves_as_sparse_factor(self, L, active):
+        real, _, n, cell = schur_setup(L)
+        rng = np.random.default_rng(L)
+        flowing = {
+            "empty": np.zeros(n, dtype=bool),
+            "full": np.ones(n, dtype=bool),
+            "random": rng.random(n) < 0.5,
+        }[active]
+        b = rng.normal(size=cell.m)
+        expected = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
+        x = cell.solve_schur_dense(cell.factor_schur_dense(real.a, real.h, flowing), b)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+        S = cell.schur(real.a, real.h, flowing)
+        assert np.abs(S @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_largest_dense_cell_is_below_crossover(self):
+        assert cell_structure(11).m < _PCG_MIN_DOFS <= cell_structure(12).m
+
+    @pytest.mark.parametrize("kind", ["singular", "indefinite"])
+    def test_unfactorizable_dense_schur_raises(self, kind):
+        # S(k) is zero with a = 0, and indefinite with one edge type's a negated
+        real = sample(LAW, 13, 1, 6)
+        prob = build_increment(real, SymTensor2(1e-3, 0.0, 0.0))
+        first_type = np.arange(prob.cell.n) < real.L**2
+        a = {
+            "singular": np.zeros_like(prob.a),
+            "indefinite": np.where(first_type, -prob.a, prob.a),
+        }[kind]
+        with pytest.raises(SolverError, match="Schur complement not factorizable"):
+            solve_increment(replace(prob, a=a))
+
+    def test_clamped_only_cell_solves(self):
+        # at L=2 every displacement is clamped: no Newton step needs a factor
+        real, _, n, cell = schur_setup(2)
+        assert cell.factor_schur_dense(real.a, real.h, np.ones(n, dtype=bool)).shape == (0, 0)
+        prob = build_increment(real, SymTensor2(3e-3, 1e-3, 0.0))
+        state, report = solve_increment(prob)
+        assert report.converged and not state.phi.any()
+        gate = SolverSettings().tol_residual * (1 + report.load_norm)
+        assert optimality_residual(prob, state) <= gate
 
 
 class TestIncrementEnergy:

@@ -1,7 +1,6 @@
 """Return map, Newton steps and the increment solve."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -154,16 +153,23 @@ class TestNewtonCorrection:
     def test_reused_factor_preconditions_above_threshold(self, monkeypatch):
         # above the size threshold a kept factor of another flowing set
         # preconditions CG instead of being replaced: the same Newton steps
-        # and certified states within round-off of the CG residual.  CG runs
-        # to its target: the early exit on a changed side pattern is off
-        monkeypatch.setattr(rveplast.solver, "_PATTERN_CHECK", 0.0)
-        prob = random_problem(14, seed=61, scale=1e-3, p_prev_scale=2e-4)
+        # and certified states within round-off of the CG residual.  The
+        # increment is step 19 of a monotonic path, warm-started from the two
+        # states before it, so every CG solve converges far inside its cap and
+        # runs to its target: the early exit on a changed side pattern is off
+        real = sample(LAW, 20240, 1, 14)
+        path = monotonic_path()
+        records = run_path(real, StrainPath(path.times[:19], path.tensors[:19]))
+        prob = build_increment(real, path.tensor(19), p_prev=records[-1][0].p)
         assert prob.cell.m >= rveplast.solver._PCG_MIN_DOFS
+        monkeypatch.setattr(rveplast.solver, "_PATTERN_CHECK", 0.0)
+        pcg, returns = rveplast.solver._pcg, []
+        monkeypatch.setattr(
+            rveplast.solver, "_pcg", lambda *args: returns.append(pcg(*args)) or returns[-1]
+        )
         gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
-        rng = np.random.default_rng(7)
-        warm1 = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
-        warm2 = prob.cell.unpack(rng.normal(scale=1e-5, size=prob.cell.total))
-        pcg_solves = 0
+        warm1, warm2 = records[-1][0], records[-2][0]
+        pcg_solves = cg_states_moved = 0
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
             expected, rep_fresh = solve_increment(fresh, warm_start=warm)
@@ -173,7 +179,13 @@ class TestNewtonCorrection:
             assert optimality_residual(prob, state) <= gate
             for got, want in ((state.p, expected.p), (state.phi, expected.phi)):
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            cg_states_moved += report.pcg_solves > 0 and not np.array_equal(state.phi, expected.phi)
         assert pcg_solves > 0
+        # the bound above is met by a CG-solved state that is not the fresh
+        # factor's bitwise, and no CG solve came near the cap
+        assert cg_states_moved > 0
+        cap = rveplast.solver._PCG_MAX_ITER
+        assert all(x is not None and iterations <= cap // 2 for x, iterations in returns)
 
 
 def increment_on_path(L, step=25, seed=20240):
@@ -310,11 +322,12 @@ class TestPreconditionedSolve:
         prob, state = increment_on_path(14)
         S = prob.cell.schur(prob.a, prob.h, np.ones(prob.cell.n, dtype=bool))
         assert rveplast.solver._pcg(S, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
-        fake = SimpleNamespace(solve=solve)
-        prob.schur_factor["last"] = (b"another flowing set", fake)
+        prob.schur_factor["last"] = (b"another flowing set", solve)
         result, report = solve_increment(prob, warm_start=state)
         assert report.converged and report.factors >= 1 and report.pcg_solves >= 1
-        assert isinstance(prob.schur_factor["last"][1], spla.SuperLU)
+        # the kept solve is a partial of the cell's sparse solve and its new LU factor
+        kept = prob.schur_factor["last"][1]
+        assert kept.func == prob.cell.solve_schur and isinstance(kept.args[0], spla.SuperLU)
         gate = SolverSettings().tol_residual * (1 + report.load_norm)
         assert optimality_residual(prob, result) <= gate
         assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
