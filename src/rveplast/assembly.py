@@ -14,10 +14,10 @@ type alpha.
 The edge derivatives are linear in the free displacements, g = G phi, with
 a sparse n x m matrix G (n edges, m free displacement components) that
 depends on the cell size alone.  ``CellStructure`` is the one object per
-cell size: it numbers the degrees of freedom y = [p; phi], holds the clamp,
-G and the order in which S is factored sparse, and maps states to vectors
-and back.  Everything a realization needs follows from G and its edge values
-a, h:
+cell size: it numbers the degrees of freedom y = [p; phi], the displacements
+in a folded order that puts every S below within a narrow band, holds the
+clamp and G, and maps states to vectors and back.  Everything a realization
+needs follows from G and its edge values a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
     f       = [a Fhat; -G.T (a Fhat)]
@@ -31,6 +31,9 @@ stress, the derivative of the stored energy with respect to ps_map F.
 S(k) is the Hessian of the displacements once the plastic strains of the
 flowing edges are eliminated: a flowing edge puts its springs a_e and h_e
 in series, k_e = a_e h_e / (a_e + h_e), and a stuck edge keeps k_e = a_e.
+In the folded order S(k) is a band matrix, factored by LAPACK's band
+Cholesky (George and Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981).
 The cell average factor L^-2 is kept out of A, f and the dissipation
 weights (it does not change minimizers) and applied only when reporting
 energies and stresses.
@@ -43,16 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .lattice import D, EDGE_COEFF, K, edge_heads, ps_map, wrap_node
 from .randfield import Realization
-
-# LU of a Schur complement: S is positive definite, so its diagonal pivots
-# need no row exchanges, and SymmetricMode keeps the symmetric ordering
-_LU_OPTIONS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-
 
 @dataclass(frozen=True)
 class RveState:
@@ -88,11 +85,6 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
-def _on_pattern(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """The symmetric matrix with ``data`` on ``pattern``: its CSR arrays are its CSC arrays."""
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-
 def _series(a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
     """k = a h / (a + h) on the flowing edges, a on the stuck ones."""
     return np.where(flowing, a * h / (a + h), a)
@@ -104,19 +96,23 @@ class CellStructure:
     Everything here depends on L alone (``cell_structure`` makes it once per
     L); a realization contributes only its edge values a and h.  The flat
     vector y = [p; phi] holds the n plastic strains (edge order), then the
-    m free displacement components (node-major, component-minor); the
-    cell corners are clamped (``clamped_nodes``, all nodes when L <= 2), and
-    ``free`` marks the unclamped components.  ``G`` maps the free
-    displacements to the edge derivatives, g(phi) = G phi; row e holds the
-    weights of the displacement components of the head and tail of edge e.
-    A and S(k) are sums of one rank-one term per edge, so each has a fixed
-    pattern and a sparse map from the edge values to its data:
-    A.data = M [a; h], and S(k).data = P k with P_(i,j),e = G_ei G_ej, at
-    most 16 entries per edge.  ``schur_order`` is the fill-reducing order
-    of that pattern, the minimum degree order SuperLU would compute for
-    every factor of S; S is factored in it, built directly on a second
-    pattern and map, so no factor orders S again.  The arrays are
-    read-only, because realizations on several threads share one structure.
+    m free displacement components in the folded order; the cell corners are
+    clamped (``clamped_nodes``, all nodes when L <= 2), ``free`` marks the
+    unclamped components of the node-major (L**2, 2) array, and
+    ``phi_index`` lists their flat indices node * 2 + component in DOF order.
+    The folded order numbers the coordinates 0, 2, 4, ... going up to the
+    middle of the cell and ..., 5, 3, 1 coming back, so periodic neighbours
+    are at most two apart in each coordinate, and sorts the components by
+    (fold(y) L + fold(x)) 2 + component: every S(k) then lies within a band
+    of half-width ``kd`` <= 4L + 5.  ``G`` maps the free displacements to the
+    edge derivatives, g(phi) = G phi; row e holds the weights of the
+    displacement components of the head and tail of edge e.  A and S(k) are
+    sums of one rank-one term per edge, so each has a fixed pattern and a
+    sparse map from the edge values to its data: A.data = M [a; h], and
+    S(k).data = P k with P_(i,j),e = G_ei G_ej, at most 16 entries per edge.
+    ``band_index`` scatters S(k).data into LAPACK's lower band storage of S.
+    The arrays are read-only, because realizations on several threads share
+    one structure.
     """
 
     def __init__(self, L: int, clamped: bool = True):
@@ -129,9 +125,16 @@ class CellStructure:
         self.free[self.clamped_nodes] = False
         self.m = m = int(self.free.sum())
         self.total = n + m
+        coord = np.arange(L)
+        fold = np.where(coord < (L + 1) // 2, 2 * coord, 2 * (L - 1 - coord) + 1)
+        # node y * L + x has the key fold(y) * L + fold(x), and its components 2 key + c
+        key = 2 * (fold[:, None] * L + fold[None, :]).reshape(npt, 1) + np.arange(2)
+        free_flat = np.flatnonzero(self.free)
+        self.phi_index = free_flat[np.argsort(key.ravel()[free_flat])]
         # phi_dof[node, comp]: column of G of the component, -1 where clamped
-        phi_dof = np.full((npt, 2), -1, dtype=np.intp)
-        phi_dof[self.free] = np.arange(m)
+        phi_dof = np.full(2 * npt, -1, dtype=np.intp)
+        phi_dof[self.phi_index] = np.arange(m)
+        phi_dof = phi_dof.reshape(npt, 2)
         edges = np.arange(n)
         coeff = np.repeat(EDGE_COEFF, npt, axis=0)
         # per edge: the x, y components of head and tail, their column of G
@@ -144,16 +147,14 @@ class CellStructure:
         self.G = sp.csr_matrix((weight[keep], (rows, dof[keep])), shape=(n, m))
         self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
         self.schur_pattern, self.schur_map = _quadratic_map(dof, weight, m)
-        # the order is structural: G.T G + I has the pattern of every S(k)
-        # and is positive definite with or without the clamp
-        gram = _on_pattern(self.schur_pattern, self.schur_map @ np.ones(n)) + sp.identity(m)
-        lu = spla.splu(gram.tocsc(), permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS)
-        self.schur_order = np.argsort(lu.perm_c)  # perm_c[i] is the position of column i
-        # position[-1] = -1 keeps the clamped components' -1
-        position = np.full(m + 1, -1, dtype=np.intp)
-        position[self.schur_order] = np.arange(m)
-        self._ordered_pattern, self._ordered_map = _quadratic_map(position[dof], weight, m)
-        self._schur_position = position[:m]  # the inverse of schur_order
+        # entry (i, j) of S and its transpose, with equal values, both go to
+        # S[max, min], which sits at row min, column max - min of a C-ordered
+        # (m, kd + 1) array: its transpose is LAPACK's lower band storage
+        rows = np.repeat(np.arange(m), np.diff(self.schur_pattern.indptr))
+        cols = self.schur_pattern.indices
+        upper, lower = np.maximum(rows, cols), np.minimum(rows, cols)
+        self.kd = kd = int((upper - lower).max(initial=0))
+        self.band_index = lower * (kd + 1) + upper - lower
         # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
         stencil = np.column_stack([edges, dof + n])
         ones = np.ones((n, 1))
@@ -163,20 +164,23 @@ class CellStructure:
             self.total,
         )
         matrices = (self.G, self.G_t, self.schur_pattern, self.schur_map, self.A_pattern, self.A_map)
-        matrices += (self._ordered_pattern, self._ordered_map)
         arrays = [arr for mat in matrices for arr in (mat.data, mat.indices, mat.indptr)]
-        for arr in arrays + [self.clamped_nodes, self.free, self.schur_order, self._schur_position]:
+        for arr in arrays + [self.clamped_nodes, self.free, self.phi_index, self.band_index]:
             arr.flags.writeable = False
+
+    def free_phi(self, phi: np.ndarray) -> np.ndarray:
+        """The free components of a node-major (L**2, 2) displacement array, in DOF order."""
+        return phi.reshape(-1)[self.phi_index]
 
     def pack(self, state: RveState) -> np.ndarray:
         """The flat vector [p; phi on the free components] of a state."""
-        return np.concatenate([state.p, state.phi[self.free]])
+        return np.concatenate([state.p, self.free_phi(state.phi)])
 
     def unpack(self, y: np.ndarray) -> RveState:
         """The state of a flat vector; clamped displacements are zero."""
-        phi = np.zeros(self.free.shape)
-        phi[self.free] = y[self.n :]
-        return RveState(y[: self.n].copy(), phi)
+        phi = np.zeros(self.free.size)
+        phi[self.phi_index] = y[self.n :]
+        return RveState(y[: self.n].copy(), phi.reshape(self.free.shape))
 
     def _edge_macro_strain(self, F) -> np.ndarray:
         """Fhat_e = (ps_map F)_alpha on every edge e of type alpha."""
@@ -199,59 +203,50 @@ class CellStructure:
         The displacements of ``state`` must vanish where they are clamped,
         as in every state the solver returns.
         """
-        phi = state.phi[self.free]
+        phi = self.free_phi(state.phi)
         sigma = a * (self._edge_macro_strain(F) + self.G @ phi - state.p)
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
 
     def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
-        """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere."""
-        return _on_pattern(self.schur_pattern, self.schur_map @ _series(a, h, flowing))
+        """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere.
 
-    def factor_schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> spla.SuperLU:
-        """LU factor of S(k) in ``schur_order``; ``solve_schur`` solves with it.
-
-        The factor is that of S(k)[o][:, o] with o = schur_order, built
-        directly in that order.  Raises RuntimeError if SuperLU finds S
-        singular.
+        Pattern and values are symmetric, so the CSR arrays of the pattern
+        are also the CSC arrays of S.
         """
-        ordered = _on_pattern(self._ordered_pattern, self._ordered_map @ _series(a, h, flowing))
-        return spla.splu(ordered, permc_spec="NATURAL", **_LU_OPTIONS)
-
-    def solve_schur(self, lu, b: np.ndarray) -> np.ndarray:
-        """x with S x = b, for the factor ``lu`` of S that ``factor_schur`` made."""
-        # two gathers: a scatter into x costs twice a gather
-        return lu.solve(b[self.schur_order])[self._schur_position]
-
-    @functools.cached_property
-    def _schur_flat(self) -> np.ndarray:
-        """Flat index row * m + col of each entry of ``schur_pattern`` in a dense m x m array."""
         pattern = self.schur_pattern
-        rows = np.repeat(np.arange(self.m), np.diff(pattern.indptr))
-        flat = rows * self.m + pattern.indices
-        flat.flags.writeable = False
-        return flat
+        data = self.schur_map @ _series(a, h, flowing)
+        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
-    def factor_schur_dense(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
-        """Dense Cholesky factor of S(k) (LAPACK dpotrf); ``solve_schur_dense`` solves with it.
+    def factor_schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
+        """Band Cholesky factor S(k) = U.T U (LAPACK dpbtrf); ``solve_schur`` solves with it.
 
-        For small cells, where SuperLU's overhead outweighs the fill of a
-        dense m x m factor.  S is scattered into the array once; pattern and
-        values are symmetric, so the C-ordered array is its own Fortran-ordered
-        transpose and is factored in place.  Raises RuntimeError if S is not
-        positive definite.  The index array is made on the first call, so
-        cells that never factor densely hold none.
+        S is scattered once into a C-ordered (m, kd + 1) array, whose
+        Fortran-ordered transpose is LAPACK's lower band storage and is
+        factored in place, S = L L.T.  Returns U = L.T in upper band storage.
+        Raises RuntimeError if S is not positive definite.
         """
-        dense = np.zeros(self.m * self.m)
-        dense[self._schur_flat] = self.schur_map @ _series(a, h, flowing)
-        c, info = lapack.dpotrf(dense.reshape(self.m, self.m).T, lower=0, clean=0, overwrite_a=1)
+        # the lower factorization: on OpenBLAS's default two threads the
+        # upper one of a band narrower than 64 took 2-5x as long as on one
+        # thread, the lower one no longer.  Solving with L made L=30 paths
+        # about 10% slower than solving with U = L.T, so U is handed over in
+        # upper storage, which holds L[j + d, j] at row kd - d, column j + d:
+        # a view of the same memory with strides kd and kd + 1.  The memory
+        # starts kd**2 zeros early, where the unreferenced corner of U reads.
+        m, kd = self.m, self.kd
+        memory = np.zeros(kd * kd + m * (kd + 1))
+        memory[kd * kd + self.band_index] = self.schur_map @ _series(a, h, flowing)
+        band = memory[kd * kd :].reshape(m, kd + 1).T
+        _, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
-            raise RuntimeError(f"S is not positive definite (dpotrf info {info})")
-        return c
+            raise RuntimeError(f"S is not positive definite (dpbtrf info {info})")
+        step = memory.itemsize
+        upper = np.lib.stride_tricks.as_strided(memory, (kd + 1, m), (kd * step, (kd + 1) * step))
+        return np.array(upper, order="F")
 
     @staticmethod
-    def solve_schur_dense(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with S x = b, for the factor ``c`` of S that ``factor_schur_dense`` made."""
-        return lapack.dpotrs(c, b, lower=0)[0]
+    def solve_schur(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with S x = b, for the factor ``c`` of S that ``factor_schur`` made."""
+        return lapack.dpbtrs(c, b, lower=0)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -281,12 +276,11 @@ class IncrementProblem:
 
     ``a`` and ``h`` are the edge moduli ``A`` is made of on ``cell``; the
     solver's return map and Schur complement read them.  ``schur_factor``
-    holds the solve with the solver's last factor of a Schur complement
-    (``CellStructure.factor_schur_dense`` or ``factor_schur``), paired with
-    the flowing set it eliminated ("last").  The increments of one path
-    share it: the factor solves directly while the flowing set repeats and
-    preconditions CG on other flowing sets; it is never shared between
-    threads.
+    holds the solve with the solver's last band factor of a Schur complement
+    (``CellStructure.factor_schur``), paired with the flowing set it
+    eliminated ("last").  The increments of one path share it: the factor
+    solves directly while the flowing set repeats and preconditions CG on
+    other flowing sets; it is never shared between threads.
     """
 
     A: sp.csr_matrix = field(repr=False)
@@ -333,14 +327,16 @@ def build_increment(
     )
 
 
-def increment_energy(prob: IncrementProblem, y) -> float:
+def increment_energy(prob: IncrementProblem, y, Ay: np.ndarray | None = None) -> float:
     """Cell-averaged increment functional value at state y.
 
     Returns scale * (1/2 y.A y - f.y + sum_e r_e |p_e - p_prev_e|); the
-    offset to the full stored energy is independent of y.
+    offset to the full stored energy is independent of y.  A caller that
+    has already formed the product A y passes it as ``Ay``.
     """
     yv = prob.as_vector(y)
-    n = prob.cell.n
-    smooth = 0.5 * yv @ (prob.A @ yv) - prob.f @ yv
-    rough = prob.r @ np.abs(yv[:n] - prob.p_prev)
+    if Ay is None:
+        Ay = prob.A @ yv
+    smooth = 0.5 * yv @ Ay - prob.f @ yv
+    rough = prob.r @ np.abs(yv[: prob.cell.n] - prob.p_prev)
     return prob.scale * (smooth + rough)

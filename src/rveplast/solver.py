@@ -12,22 +12,21 @@ semismooth Newton on E (the primal-dual active set method): each step
 solves S(k) dphi = -grad E(phi) and backtracks along phi, every trial point
 being (p*(phi + s dphi), phi + s dphi).
 
-S is one sparse matrix-vector product onto a fixed pattern.  The increments
-of a path hold one factor of S, that of the last flowing set factored, and
-solve directly with it while the flowing set repeats.  On a small cell
-(L < 12) every new flowing set is factored: S is scattered into a dense
-array and factored by LAPACK's Cholesky (``CellStructure.factor_schur_dense``),
-which costs a fraction of SuperLU's per-call overhead at these sizes.  On a
-large cell the factor is an LU factor made in the fill-reducing order the
-cell computes once for that pattern (``CellStructure.factor_schur``), so no
-factor orders S again, and on a new flowing set it preconditions conjugate
-gradients on the new S instead: x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e
-is 1 or h_e/(a_e + h_e), so the factor of any earlier S is a preconditioner
-of condition number at most max (a + h)/h when one flowing set contains the
-other (its square in general).  CG then needs about ten iterations, where a
-new factor costs the time of about thirty.  Only when CG reaches its
-iteration cap or breaks down, and on the first step of a path, is the new S
-of a large cell factored; its factor replaces the old.
+S is one sparse matrix-vector product onto a fixed pattern, and every factor
+of S is a band Cholesky factor (LAPACK's ``dpbtrf``): the cell numbers its
+displacements in a folded order that keeps S within a band of half-width
+at most 4L + 5 (``CellStructure.factor_schur``).  The increments of a path
+hold one factor of S, that of the last flowing set factored, and solve
+directly with it while the flowing set repeats.  On a small cell (L < 16)
+every new flowing set is factored.  On a large cell the factor of the last
+set preconditions conjugate gradients on the new S instead: x.S(k)x =
+sum_e k_e (G x)_e^2, and k_e/a_e is 1 or h_e/(a_e + h_e), so the factor of
+any earlier S is a preconditioner of condition number at most
+max (a + h)/h when one flowing set contains the other (its square in
+general).  CG then needs about ten iterations, where a new factor costs the
+time of 7 to 27 (L = 16 to 42).  Only when CG reaches its iteration cap or
+breaks down, and on the first step of a path, is the new S of a large cell
+factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -74,18 +73,21 @@ from .assembly import IncrementProblem, RveState, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
-# CG replaces a new factor of S from this many displacement DOFs on (L >= 12);
-# on smaller cells a dense Cholesky factor of S costs less than CG's ten or so
+# CG replaces a new factor of S from this many displacement DOFs on (L >= 16);
+# on smaller cells a band factor of S costs less than CG's ten or so
 # iterations.  Median times of ``run_path`` on samples 1-3 (seed 20240, 15
-# alternating rounds, one thread), dense factor against CG, cyclic and
-# monotonic, in ms [rounds of 15 CG was faster in], three runs each:
-# L=10 77.8/106.0 and 74.0/99.9 [0, 0 in every run]; L=11 85.5/90.9 and
-# 81.0/85.1 [4, 3], 92.9/95.4 and 72.1/81.1 [4, 3], 115.7/127.8 and
-# 76.6/85.7 [3, 4]; L=12 112.0/108.3 and 102.0/110.4 [10, 13], 114.4/101.3
-# and 99.2/99.1 [15, 8], 127.5/109.0 and 93.8/84.5 [13, 12]
-_PCG_MIN_DOFS = 280
-# CG iterations before the new S is factored instead: a factor costs 26
-# (L=14) to 41 (L=42) iterations, and the most a solve was seen to take is 16
+# alternating rounds, one worker thread), a factor of every flowing set
+# against CG, cyclic and monotonic, in ms [rounds of 15 CG was faster in].
+# OpenBLAS's default threads (two on a 2-core host): L=14 83.3/99.9 and
+# 99.9/111.3 [2, 0]; L=15 127.3/125.7 and 109.0/105.8 [9, 11]; L=16
+# 123.7/119.0 and 121.0/104.8 [13, 14]; L=17 182.0/138.4 and 149.9/106.9
+# [15, 15].  One BLAS thread: L=15 100.1/114.3 and 85.1/98.5 [3, 2]; L=16
+# 130.4/138.4 and 87.2/108.1 [2, 1]; L=17 161.7/149.1 and 152.8/137.1
+# [14, 14].  The threshold follows the default threads
+_PCG_MIN_DOFS = 504
+# CG iterations before the new S is factored instead: a band factor costs 13
+# (L=16) to 27 (L=42) iterations on the default BLAS threads, 7 to 16 on one,
+# and the most a solve was seen to take is 16
 _PCG_MAX_ITER = 20
 # CG asks once per solve, when max|r| first falls to this share of max|b|,
 # whether its step so far changes the side pattern, and stops there if it
@@ -127,7 +129,7 @@ class SolveReport:
     load_norm: float = np.nan  # max |f|, the scale for residual tolerances
     converged: bool = False
     energies: list[float] = field(default_factory=list)
-    factors: int = 0  # new LU factors of the Schur complement
+    factors: int = 0  # new band Cholesky factors of the Schur complement
     pcg_solves: int = 0  # Newton steps solved by CG, a failed attempt included
     pcg_iterations: int = 0  # CG iterations of those solves
     pattern_exits: int = 0  # CG solves stopped early on a changed side pattern
@@ -220,10 +222,9 @@ def _newton_direction(
 ) -> np.ndarray:
     """Solve S(k) d_phi = rhs on the flowing set of the point y.
 
-    ``prob.schur_factor`` holds the solve with the path's last factor of a
-    Schur complement, keyed by the flowing set it eliminated ("last"): the
-    dense Cholesky factor on a small cell, the LU factor on a large one.  On
-    that set the factor solves directly.  On another set of a large cell it
+    ``prob.schur_factor`` holds the solve with the path's last band factor
+    of a Schur complement, keyed by the flowing set it eliminated ("last").
+    On that set the factor solves directly.  On another set of a large cell it
     preconditions CG on the new S down to max|S d_phi - rhs| <= target, or
     until an iterate already changes the side pattern of y (an inexact
     step).  The new S is factored, and its factor replaces the old, only if
@@ -238,8 +239,7 @@ def _newton_direction(
     last_key, last_solve = cache.get("last", (None, None))
     if last_key == key:
         return last_solve(rhs)
-    small = rhs.size < _PCG_MIN_DOFS
-    if last_solve is not None and not small:
+    if last_solve is not None and rhs.size >= _PCG_MIN_DOFS:
 
         def changes_pattern(d_phi: np.ndarray) -> bool:
             side = np.sign(y[:n] - prob.p_prev)
@@ -255,17 +255,11 @@ def _newton_direction(
         report.pcg_iterations += iterations
         if d_phi is not None:
             return d_phi
-    # free the old factor before making the new one: holding both fragments
-    # the heap and raised the peak RSS of one L=30 path run from 68 to 80 MB
     del last_solve
     cache.clear()
     report.factors += 1
     try:
-        if small:
-            factor, solve_with = cell.factor_schur_dense, cell.solve_schur_dense
-        else:
-            factor, solve_with = cell.factor_schur, cell.solve_schur
-        solve = partial(solve_with, factor(prob.a, prob.h, flowing))
+        solve = partial(cell.solve_schur, cell.factor_schur(prob.a, prob.h, flowing))
     except RuntimeError as err:
         raise SolverError(f"Schur complement not factorizable: {err}", report) from err
     cache["last"] = (key, solve)
@@ -312,16 +306,17 @@ def solve_increment(
     settings = settings or SolverSettings()
     cell = prob.cell
     n = cell.n
-    phi = warm_start.phi[cell.free] if warm_start is not None else np.zeros(cell.m)
+    phi = cell.free_phi(warm_start.phi) if warm_start is not None else np.zeros(cell.m)
     y = np.concatenate([_return_map(prob, phi), phi])
 
     report = SolveReport()
     report.load_norm = float(np.max(np.abs(prob.f), initial=0.0))
     residual_gate = settings.tol_residual * (1.0 + report.load_norm)
-    report.energies.append(increment_energy(prob, y))
+    Ay = prob.A @ y  # serves the first energy and the first certificate
+    report.energies.append(increment_energy(prob, y, Ay))
     failure = None
     while True:
-        g = prob.A @ y - prob.f
+        g = Ay - prob.f
         report.residual = _certificate(prob, y, g)
         if report.residual <= residual_gate:
             break
@@ -345,6 +340,7 @@ def solve_increment(
         else:
             failure = f"found no descent at Newton step {report.iterations}"
             break
+        Ay = prob.A @ y
 
     report.energy = report.energies[-1]
     report.flowing = int(np.count_nonzero(y[:n] != prob.p_prev))

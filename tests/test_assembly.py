@@ -260,7 +260,7 @@ class TestCellStructure:
         first = build_increment(sample(LAW, 61, 1, 5), SymTensor2.zero()).cell
         second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
         assert second is first and cell_structure.cache_info().misses == 1
-        arrays = [first.clamped_nodes, first.free, first.schur_order]
+        arrays = [first.clamped_nodes, first.free, first.phi_index, first.band_index]
         for mat in (first.G, first.G_t, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
             arrays += [mat.data, mat.indices, mat.indptr]
         assert not any(arr.flags.writeable for arr in arrays)
@@ -301,37 +301,40 @@ class TestOperatorBlocks:
 
 
 class TestSchurFactor:
-    """The factors of S: LU in the cell's precomputed order, and dense Cholesky on small cells."""
+    """The band Cholesky factor of S in the cell's folded DOF numbering."""
 
     @pytest.mark.parametrize("L", [2, 3, 6, 14, 30])
     def test_order_is_a_permutation(self, L):
+        # the DOF numbering lists every free component once and no clamped one
         cell = cell_structure(L)
-        assert np.array_equal(np.sort(cell.schur_order), np.arange(cell.m))
+        assert cell.phi_index.size == cell.m
+        assert np.array_equal(np.sort(cell.phi_index), np.flatnonzero(cell.free))
 
     @pytest.mark.parametrize("L", [6, 14, 30])
-    def test_same_fill_and_solve_as_minimum_degree_factor(self, L):
-        # the order is the one SuperLU computes for S: no extra fill, and
-        # the same solution up to round-off
+    def test_band_holds_every_entry(self, L):
+        # the folded order keeps S within half-width 4L + 5, and the band
+        # holds S[i, j], i >= j, at row j and column i - j, and zeros past
+        # the last row of S
         real, _, n, cell = schur_setup(L)
-        rng = np.random.default_rng(L)
-        flowing = rng.random(n) < 0.5
+        assert cell.kd <= min(4 * L + 5, cell.m - 1)
+        flowing = np.random.default_rng(L).random(n) < 0.5
         S = cell.schur(real.a, real.h, flowing)
-        reference = spla.splu(
-            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-        lu = cell.factor_schur(real.a, real.h, flowing)
-        assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
-        b = rng.normal(size=cell.m)
-        expected = reference.solve(b)
-        x = cell.solve_schur(lu, b)
-        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.abs(S @ x - b).max() <= 1e-12 * np.abs(b).max()
+        band = np.zeros((cell.m, cell.kd + 1))
+        band.ravel()[cell.band_index] = S.data
+        j, c = np.indices(band.shape)
+        i = j + c
+        inside = i < cell.m
+        lower = np.zeros(S.shape)
+        lower[i[inside], j[inside]] = band[inside]
+        assert not band[~inside].any()
+        assert np.array_equal(lower, np.tril(S.toarray()))
 
     def test_clamped_only_cell_has_empty_factor(self):
         real, _, n, cell = schur_setup(2)
-        assert cell.m == 0 and cell.schur_order.size == 0
-        lu = cell.factor_schur(real.a, real.h, np.ones(n, dtype=bool))
-        assert cell.solve_schur(lu, np.zeros(0)).shape == (0,)
+        assert cell.m == 0 and cell.phi_index.size == 0 and cell.kd == 0
+        c = cell.factor_schur(real.a, real.h, np.ones(n, dtype=bool))
+        assert c.shape == (1, 0)
+        assert cell.solve_schur(c, np.zeros(0)).shape == (0,)
 
     def test_smallest_free_cell_solves(self):
         real, _, n, cell = schur_setup(3)
@@ -342,8 +345,9 @@ class TestSchurFactor:
         expected = np.linalg.solve(S, b)
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    # 11 is the largest cell the solver factors densely
-    @pytest.mark.parametrize("L", [3, 4, 6, 8, 11])
+    # the band factor against a dense solve of S, from the clamped-only cell
+    # to the largest cell that factors every flowing set and beyond
+    @pytest.mark.parametrize("L", [2, 3, 4, 6, 8, 11, 14, 15, 30])
     @pytest.mark.parametrize("active", ["empty", "full", "random"])
     def test_dense_factor_solves_as_sparse_factor(self, L, active):
         real, _, n, cell = schur_setup(L)
@@ -353,36 +357,39 @@ class TestSchurFactor:
             "full": np.ones(n, dtype=bool),
             "random": rng.random(n) < 0.5,
         }[active]
+        assert cell.kd <= min(4 * L + 5, max(cell.m - 1, 0))
         b = rng.normal(size=cell.m)
-        expected = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
-        x = cell.solve_schur_dense(cell.factor_schur_dense(real.a, real.h, flowing), b)
-        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
         S = cell.schur(real.a, real.h, flowing)
-        assert np.abs(S @ x - b).max() <= 1e-12 * np.abs(b).max()
+        expected = np.linalg.solve(S.toarray(), b)
+        x = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
+        assert np.abs(x - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
+        assert np.abs(S @ x - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
 
     def test_largest_dense_cell_is_below_crossover(self):
-        assert cell_structure(11).m < _PCG_MIN_DOFS <= cell_structure(12).m
+        # the largest cell that factors every flowing set (L=15) and the first CG cell
+        assert cell_structure(15).m < _PCG_MIN_DOFS <= cell_structure(16).m
 
     @pytest.mark.parametrize("kind", ["singular", "indefinite"])
     def test_unfactorizable_dense_schur_raises(self, kind):
-        # S(k) is zero with a = 0, and indefinite with one edge type's a negated
-        real = sample(LAW, 13, 1, 6)
-        prob = build_increment(real, SymTensor2(1e-3, 0.0, 0.0))
-        first_type = np.arange(prob.cell.n) < real.L**2
-        a = {
-            "singular": np.zeros_like(prob.a),
-            "indefinite": np.where(first_type, -prob.a, prob.a),
-        }[kind]
-        with pytest.raises(SolverError, match="Schur complement not factorizable"):
-            solve_increment(replace(prob, a=a))
+        # S(k) is zero with a = 0, and indefinite with one edge type's a
+        # negated; the first Newton step of a path makes a factor at every L
+        for L in (6, 14):
+            real = sample(LAW, 13, 1, L)
+            prob = build_increment(real, SymTensor2(1e-3, 0.0, 0.0))
+            first_type = np.arange(prob.cell.n) < real.L**2
+            a = {
+                "singular": np.zeros_like(prob.a),
+                "indefinite": np.where(first_type, -prob.a, prob.a),
+            }[kind]
+            with pytest.raises(SolverError, match="Schur complement not factorizable"):
+                solve_increment(replace(prob, a=a))
 
     def test_clamped_only_cell_solves(self):
         # at L=2 every displacement is clamped: no Newton step needs a factor
         real, _, n, cell = schur_setup(2)
-        assert cell.factor_schur_dense(real.a, real.h, np.ones(n, dtype=bool)).shape == (0, 0)
         prob = build_increment(real, SymTensor2(3e-3, 1e-3, 0.0))
         state, report = solve_increment(prob)
-        assert report.converged and not state.phi.any()
+        assert report.converged and not state.phi.any() and report.factors == 0
         gate = SolverSettings().tol_residual * (1 + report.load_norm)
         assert optimality_residual(prob, state) <= gate
 

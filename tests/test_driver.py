@@ -133,9 +133,9 @@ class TestRunPath:
             assert ra.energy == rb.energy
 
     def test_rate_independence_bitwise_with_pcg(self):
-        # at L=14 most Newton steps are solved by CG with the path's factor
-        real = sample(LAW, 3, 1, 14)
-        assert cell_structure(14).m >= rveplast.solver._PCG_MIN_DOFS
+        # at L=16 most Newton steps are solved by CG with the path's factor
+        real = sample(LAW, 3, 1, 16)
+        assert cell_structure(16).m >= rveplast.solver._PCG_MIN_DOFS
         base = cyclic_path(n_steps=20)
         times = np.cumsum(np.concatenate([[0.0], 1 + np.arange(20) % 3]))
         stretched = StrainPath(times, base.tensors)
@@ -262,7 +262,7 @@ class TestRunPath:
     def test_reports_count_factors_and_pcg(self):
         # one path shares one factor: CG solves the later flowing sets, and
         # some of those solves stop early on a changed side pattern
-        real = sample(LAW, 7, 1, 14)
+        real = sample(LAW, 7, 1, 16)
         reports = []
         records = run_path(real, monotonic_path(), reports=reports)
         steps = sum(rep.iterations for rep in reports)

@@ -63,10 +63,10 @@ class TestMonteCarlo:
         assert np.array_equal(serial.energies, threaded.energies)
 
     def test_thread_count_does_not_change_results_with_pcg(self):
-        # at L=14 the Newton steps are solved by CG with each path's factor
+        # at L=16 the Newton steps are solved by CG with each path's factor
         path = monotonic_path(n_steps=10)
-        serial = monte_carlo(LAW, 14, 3, 5, path, threads=1)
-        threaded = monte_carlo(LAW, 14, 3, 5, path, threads=2)
+        serial = monte_carlo(LAW, 16, 3, 5, path, threads=1)
+        threaded = monte_carlo(LAW, 16, 3, 5, path, threads=2)
         assert np.array_equal(serial.stresses, threaded.stresses)
         assert np.array_equal(serial.fractions, threaded.fractions)
         assert np.array_equal(serial.energies, threaded.energies)
