@@ -20,12 +20,14 @@ clamp and G, and maps states to vectors and back.  Everything a realization
 needs follows from G and its edge values a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
-    f       = [a Fhat; -G.T (a Fhat)]
+    f       = [a Fhat; -G.T (a Fhat)] = B ps_map F,   B = [E; -G.T E]
     s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e)
     S(k)    = G.T diag(k) G
 
 The smooth part of J is carried as 1/2 y.A y - f.y with the Hessian A
-(independent of F) and the load f; this equals it minus the
+(independent of F) and the load f, which the (n + m) x K matrix B maps
+from ps_map F (E_e,alpha = a_e on the type-alpha edges, 0 elsewhere,
+so the K loads of unit ps_map F are B's columns); this equals it minus the
 state-independent constant sum_e a_e/2 Fhat_e^2.  s is the cell-averaged
 stress, the derivative of the stored energy with respect to ps_map F.
 S(k) is the Hessian of the displacements once the plastic strains of the
@@ -192,10 +194,19 @@ class CellStructure:
         data = self.A_map @ np.concatenate([a, h])
         return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
+    def load_map(self, a: np.ndarray) -> np.ndarray:
+        """B = [E; -G.T E], (n + m) x K, with E_e,alpha = a_e on the edges e of type alpha.
+
+        Load and stress are linear in v = ps_map F: f = B v (``load``), and
+        at the flat state y the stress is L^-2 (c v - B.T y) (``mapped_stress``).
+        """
+        E = np.zeros((self.n, K))
+        E[np.arange(self.n), np.arange(self.n) // self.L**2] = a
+        return np.concatenate([E, -(self.G_t @ E)])
+
     def load(self, a: np.ndarray, F) -> np.ndarray:
-        """f = [a Fhat; -G.T (a Fhat)]."""
-        af = a * self._edge_macro_strain(F)
-        return np.concatenate([af, -(self.G_t @ af)])
+        """f = B ps_map F = [a Fhat; -G.T (a Fhat)], with B = ``load_map(a)``."""
+        return self.load_map(a) @ ps_map(F)
 
     def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
         """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
@@ -206,6 +217,14 @@ class CellStructure:
         phi = self.free_phi(state.phi)
         sigma = a * (self._edge_macro_strain(F) + self.G @ phi - state.p)
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
+
+    def mapped_stress(self, B: np.ndarray, c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``stress`` read off B = ``load_map(a)``: L^-2 (c v - B.T y).
+
+        y is the flat state, v = ps_map F and c_alpha the sum of a over the
+        type-alpha edges; equal to ``stress`` up to round-off.
+        """
+        return (c * v - y @ B) * float(self.L) ** (-D)
 
     def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
         """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere.

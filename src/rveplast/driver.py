@@ -1,17 +1,23 @@
 """Time-incremental evolution of one cell along a macroscopic strain path.
 
-Starting from the trivial state, each time step assembles the load for the
-current macro strain, solves the increment and records the cell-averaged
-stress (the hysteresis-operator output) together with the per-type plastic
-fractions.  Each solve starts at the secant predictor: the previous
-displacements extrapolated along the last step's change, scaled by the
-projection of the new strain step onto the last one.  Along a uniaxial
-path the minimizer is piecewise affine in the strain, so the predictor
-often has the new step's flowing set, and one Newton step ends the solve.
-The minimizer, not the start, defines the increment.  Increments depend on
-time only through the strain values, and so does the predictor, so the
-evolution is rate independent: reparametrizing the time stamps leaves all
-outputs unchanged.
+Starting from the trivial state, each time step solves the increment at the
+current macro strain F and records the cell-averaged stress (the
+hysteresis-operator output) together with the per-type plastic fractions.
+The load and the stress depend on F only through v = ps_map F, linearly, so
+a path assembles once the loads of the three unit strains, the columns of an
+(n + m) x 3 matrix B (``CellStructure.load_map``): a step's load is B v,
+bitwise the load ``assemble_load`` makes, and its stress is
+L^-2 (c v - B.T y) at the solved state y (``CellStructure.mapped_stress``),
+with c_alpha the sum of a over the type-alpha edges.
+
+Each solve starts at the secant predictor: the previous displacements
+extrapolated along the last step's change, scaled by the projection of the
+new strain step onto the last one.  Along a uniaxial path the minimizer is
+piecewise affine in the strain, so the predictor often has the new step's
+flowing set, and one Newton step ends the solve.  The minimizer, not the
+start, defines the increment.  Increments depend on time only through the
+strain values, and so does the predictor, so the evolution is rate
+independent: reparametrizing the time stamps leaves all outputs unchanged.
 """
 
 from __future__ import annotations
@@ -27,9 +33,13 @@ from .assembly import (
     assemble_operator,
     cell_structure,
 )
-from .lattice import K, SymTensor2
+from .lattice import K, SymTensor2, ps_map
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
+
+
+# the macro strains with ps_map F_alpha = e_alpha, the unit strain of edge type alpha
+_UNIT_STRAINS = (SymTensor2(1.0, -0.5, 0.0), SymTensor2(0.0, -0.5, 1.0), SymTensor2(0.0, 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -105,9 +115,11 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.
 
     s_alpha = L^-2 sum over type-alpha edges of
-    a_e ((ps_map F)_alpha + g_e(phi) - p_e) (``CellStructure.stress``).
-    The displacements of ``state`` vanish at the clamped corners, as in
-    every state the solver returns.
+    a_e ((ps_map F)_alpha + g_e(phi) - p_e) (``CellStructure.stress``), the
+    edge-by-edge definition; ``run_path`` gets the same values to round-off
+    from its per-path load map (``CellStructure.mapped_stress``).  The
+    displacements of ``state`` vanish at the clamped corners, as in every
+    state the solver returns.
     """
     return cell_structure(real.L).stress(real.a, state, F)
 
@@ -115,7 +127,7 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
 def plastic_fraction(state: RveState) -> np.ndarray:
     """Share of edges per type with nonzero plastic strain (exact nonzero)."""
     npt = state.phi.shape[0]
-    return (state.p.reshape(K, npt) != 0.0).mean(axis=1)
+    return np.count_nonzero(state.p.reshape(K, npt), axis=1) / npt
 
 
 def _secant_coefficient(tensors: np.ndarray, l: int) -> float:
@@ -141,11 +153,16 @@ def run_path(
 
     Returns one (state, record) pair per time stamp, the first being the
     zero state at t=0.  Pass a list as ``reports`` to collect the solver
-    report of every increment.  The increments share one operator and one
-    Schur factor cache, and each starts at the secant predictor.
+    report of every increment.  The increments share one operator, one map
+    from ps_map F to the load and the stress, and one Schur factor cache, and
+    each starts at the secant predictor.
     """
     cell = cell_structure(real.L)
     A = assemble_operator(real)
+    # column alpha of B is the load at the unit strain of type alpha: B is
+    # cell.load_map(real.a), and B @ ps_map(F) the load assemble_load makes
+    B = np.column_stack([assemble_load(real, F) for F in _UNIT_STRAINS])
+    a_sums = real.by_type("a").sum(axis=1)
     schur_factor: dict = {}
     state = RveState.zero(real.L)
     phi_before = state.phi  # the displacements of the step before the last
@@ -157,9 +174,8 @@ def run_path(
     ]
     for l in range(1, path.n_steps + 1):
         F = path.tensor(l)
-        prob = IncrementProblem(
-            A, assemble_load(real, F), real.sy, state.p, real.a, real.h, cell, schur_factor
-        )
+        v = ps_map(F)
+        prob = IncrementProblem(A, B @ v, real.sy, state.p, real.a, real.h, cell, schur_factor)
         c = _secant_coefficient(path.tensors, l)
         start = RveState(state.p, state.phi + c * (state.phi - phi_before))
         phi_before = state.phi
@@ -174,6 +190,6 @@ def run_path(
             ) from err
         if reports is not None:
             reports.append(report)
-        s = stress_vector(real, state, F)
+        s = cell.mapped_stress(B, a_sums, cell.pack(state), v)
         out.append((state, StressRecord(F, s, plastic_fraction(state), report.energy)))
     return out

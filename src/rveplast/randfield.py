@@ -109,17 +109,15 @@ def sample(law: MaterialLaw, seed: int, sample_id: int, L: int) -> Realization:
     """
     if L < 1:
         raise ConfigError(f"lattice side must be >= 1, got {L}")
-    npt = L * L
     x = np.tile(np.arange(L, dtype=np.uint64), L)
     y = np.repeat(np.arange(L, dtype=np.uint64), L)
+    # one pass over the channels alpha * 3 + rho, broadcast against the nodes
+    channel = np.arange(K * len(_PARAMS), dtype=np.uint64)[:, None]
+    u = _keyed_uniform(seed, sample_id, x, y, channel).reshape(K, len(_PARAMS), L * L)
     arrays = {}
     for rho, name in enumerate(_PARAMS):
         lo, hi = getattr(law, name)
-        vals = np.empty(K * npt)
-        for alpha in range(K):
-            u = _keyed_uniform(seed, sample_id, x, y, np.uint64(alpha * len(_PARAMS) + rho))
-            vals[alpha * npt : (alpha + 1) * npt] = lo + u * (hi - lo)
-        arrays[name] = vals
+        arrays[name] = (lo + u[:, rho] * (hi - lo)).ravel()
     return Realization(
         L=int(L),
         seed=int(seed),

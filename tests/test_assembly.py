@@ -241,6 +241,24 @@ class TestLoadStressPairing:
             tol = 1e-13 * np.abs(terms).sum(axis=1) / L**2
             assert np.all(np.abs(stress_vector(real, state, self.F) - expected) <= tol)
 
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    def test_load_map_columns_are_unit_loads(self, L):
+        # run_path builds B from the loads at the three unit strains and takes
+        # each step's load as B ps_map(F): bitwise assemble_load's
+        real = sample(LAW, 60 + L, 1, L)
+        cell = cell_structure(L)
+        B = cell.load_map(real.a)
+        units = [SymTensor2(1.0, -0.5, 0.0), SymTensor2(0.0, -0.5, 1.0), SymTensor2(0.0, 1.0, 0.0)]
+        assert np.array_equal(np.column_stack([assemble_load(real, F) for F in units]), B)
+        assert np.array_equal(B @ ps_map(self.F), assemble_load(real, self.F))
+        a_sums = real.by_type("a").sum(axis=1)
+        rng = np.random.default_rng(20 + L)
+        for _ in range(3):
+            state = random_state(cell, rng)
+            s = cell.mapped_stress(B, a_sums, cell.pack(state), ps_map(self.F))
+            s_ref = stress_vector(real, state, self.F)
+            assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
+
 
 class TestCellStructure:
     def test_builder_shares_operator_and_structure(self):

@@ -9,6 +9,7 @@ import pytest
 
 from rveplast.cli import (
     EXPERIMENTS,
+    TRAJECTORY_COLUMNS,
     RunConfig,
     _study_sizes,
     build_arg_parser,
@@ -113,6 +114,16 @@ class TestParseConfig:
                 config.validate()
             assert fits == []
 
+    def test_repeated_parses_are_independent(self):
+        # the field types are resolved once per process; no call sees another's flags
+        first = parse_config(["cyclic", "--L", "7", "--seed", "5", "--L-list", "6,8"])
+        second = parse_config(["monotonic", "--M", "2"])
+        assert (first.experiment, first.L, first.seed, first.L_list) == ("cyclic", 7, 5, [6, 8])
+        assert (second.experiment, second.L, second.M, second.seed) == ("monotonic", 30, 2, 20240)
+        assert second.L_list is None
+        assert parse_config(["cyclic"]) == RunConfig("cyclic", L=4, M=5)
+        assert first.L_list == [6, 8]
+
     def test_one_flag_per_config_key(self):
         # the README promises that flags mirror the config keys one-to-one
         parser = build_arg_parser()
@@ -157,6 +168,19 @@ class TestRun:
         assert np.array_equal(stresses, ens.stresses)
         assert np.array_equal(data["energy"].reshape(ens.M, -1), ens.energies)
         assert np.array_equal(data["t"].reshape(ens.M, -1)[0], ens.times)
+
+    def test_trajectory_bytes(self, tmp_path):
+        # every float written with 17 significant digits, csv's \r\n line ends
+        ens = monte_carlo(MaterialLaw(), 3, 2, 8, monotonic_path(n_steps=4))
+        lines = [",".join(TRAJECTORY_COLUMNS)]
+        for i in range(ens.M):
+            for l in range(ens.times.size):
+                values = [ens.times[l], ens.f11[l], *ens.stresses[i, l], *ens.fractions[i, l]]
+                values.append(ens.energies[i, l])
+                lines.append(",".join([str(i + 1), str(l)] + [f"{float(v):.17g}" for v in values]))
+        path = tmp_path / "traj.csv"
+        write_trajectories(path, ens)
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_rerun_is_bitwise_identical_across_threads(self, tmp_path):
         args = ["monotonic", "--L", "4", "--M", "3", "--N", "4"]

@@ -185,6 +185,22 @@ class TestRunPath:
             assert np.abs(starts[l - 1] - expected).max() <= 1e-14 * np.abs(expected).max()
         assert c < 0.0  # the last step reverses the load
 
+    @pytest.mark.parametrize("L", [4, 16])
+    @pytest.mark.parametrize(
+        "make_path", [monotonic_path, cyclic_path], ids=["monotonic", "cyclic"]
+    )
+    def test_records_match_edge_definitions(self, L, make_path):
+        # run_path reads the stresses off its per-path load map, stress_vector
+        # sums over the edges; the fractions are plastic_fraction's
+        real = sample(LAW, 20240, 2, L)
+        path = make_path()
+        records = run_path(real, path)
+        for l, (state, rec) in enumerate(records):
+            s_ref = stress_vector(real, state, path.tensor(l))
+            assert np.abs(rec.s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+            assert np.array_equal(rec.fractions, plastic_fraction(state))
+        assert records[-1][1].fractions[0] > 0.0
+
     @pytest.mark.parametrize(
         "make_path", [monotonic_path, cyclic_path], ids=["monotonic", "cyclic"]
     )

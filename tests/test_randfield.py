@@ -8,6 +8,22 @@ from rveplast.randfield import ConfigError, MaterialLaw, restrict, sample
 
 LAW = MaterialLaw()
 SEED = 314159
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64_uniform(seed, sample_id, x, y, channel) -> float:
+    """The key's uniform draw: each key field folded into the state through SplitMix64."""
+    state = _splitmix64(seed ^ _GAMMA)
+    for part in (sample_id, x, y, channel):
+        state = _splitmix64(state ^ (part * _GAMMA & _MASK))
+    return (state >> 11) * 2.0**-53
 
 
 class TestMaterialLaw:
@@ -74,6 +90,23 @@ class TestSample:
     def test_invalid_side(self):
         with pytest.raises(ConfigError):
             sample(LAW, SEED, 1, 0)
+
+    @pytest.mark.parametrize("L", [1, 6, 18])
+    @pytest.mark.parametrize("seed", [SEED, 2**64 - 1])
+    @pytest.mark.parametrize("sample_id", [1, 40])
+    def test_draws_match_per_channel_splitmix64(self, L, seed, sample_id):
+        # one key per (parameter rho, edge type alpha, tail node x + L y), on
+        # channel alpha * 3 + rho, hashed one channel at a time with Python ints
+        law = MaterialLaw((1.0, 3.0), (0.5, 4.0), (2.0, 2.5))
+        real = sample(law, seed, sample_id, L)
+        for rho, (name, (lo, hi)) in enumerate(zip(("a", "h", "sy"), (law.a, law.h, law.sigma_y))):
+            expected = [
+                lo + _splitmix64_uniform(seed, sample_id, x, y, alpha * 3 + rho) * (hi - lo)
+                for alpha in range(K)
+                for y in range(L)
+                for x in range(L)
+            ]
+            assert np.array_equal(getattr(real, name), expected)
 
 
 class TestRestrict:
