@@ -87,9 +87,14 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
-def _series(a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
-    """k = a h / (a + h) on the flowing edges, a on the stuck ones."""
-    return np.where(flowing, a * h / (a + h), a)
+def _series(
+    a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
+) -> np.ndarray:
+    """k = a h / (a + h) on the flowing edges, a on the stuck ones.
+
+    ``series`` is a h / (a + h) on every edge, if the caller has formed it.
+    """
+    return np.where(flowing, a * h / (a + h) if series is None else series, a)
 
 
 class CellStructure:
@@ -226,23 +231,28 @@ class CellStructure:
         """
         return (c * v - y @ B) * float(self.L) ** (-D)
 
-    def schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> sp.csc_matrix:
+    def schur(
+        self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
+    ) -> sp.csc_matrix:
         """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere.
 
         Pattern and values are symmetric, so the CSR arrays of the pattern
-        are also the CSC arrays of S.
+        are also the CSC arrays of S.  A caller that keeps a h / (a + h)
+        passes it as ``series``.
         """
         pattern = self.schur_pattern
-        data = self.schur_map @ _series(a, h, flowing)
+        data = self.schur_map @ _series(a, h, flowing, series)
         return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
-    def factor_schur(self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray) -> np.ndarray:
+    def factor_schur(
+        self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
+    ) -> np.ndarray:
         """Band Cholesky factor S(k) = U.T U (LAPACK dpbtrf); ``solve_schur`` solves with it.
 
-        S is scattered once into a C-ordered (m, kd + 1) array, whose
-        Fortran-ordered transpose is LAPACK's lower band storage and is
-        factored in place, S = L L.T.  Returns U = L.T in upper band storage.
-        Raises RuntimeError if S is not positive definite.
+        S (``schur``, ``series`` as there) is scattered once into a C-ordered
+        (m, kd + 1) array, whose Fortran-ordered transpose is LAPACK's lower
+        band storage and is factored in place, S = L L.T.  Returns U = L.T in
+        upper band storage.  Raises RuntimeError if S is not positive definite.
         """
         # the lower factorization: on OpenBLAS's default two threads the
         # upper one of a band narrower than 64 took 2-5x as long as on one
@@ -253,13 +263,13 @@ class CellStructure:
         # starts kd**2 zeros early, where the unreferenced corner of U reads.
         m, kd = self.m, self.kd
         memory = np.zeros(kd * kd + m * (kd + 1))
-        memory[kd * kd + self.band_index] = self.schur_map @ _series(a, h, flowing)
+        memory[kd * kd + self.band_index] = self.schur_map @ _series(a, h, flowing, series)
         band = memory[kd * kd :].reshape(m, kd + 1).T
         _, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"S is not positive definite (dpbtrf info {info})")
         step = memory.itemsize
-        upper = np.lib.stride_tricks.as_strided(memory, (kd + 1, m), (kd * step, (kd + 1) * step))
+        upper = np.ndarray((kd + 1, m), buffer=memory, strides=(kd * step, (kd + 1) * step))
         return np.array(upper, order="F")
 
     @staticmethod
@@ -297,9 +307,10 @@ class IncrementProblem:
     solver's return map and Schur complement read them.  ``schur_factor``
     holds the solve with the solver's last band factor of a Schur complement
     (``CellStructure.factor_schur``), paired with the flowing set it
-    eliminated ("last").  The increments of one path share it: the factor
-    solves directly while the flowing set repeats and preconditions CG on
-    other flowing sets; it is never shared between threads.
+    eliminated ("last"), and a h / (a + h) ("series").  The increments of
+    one path share it: the factor solves directly while the flowing set
+    repeats and preconditions CG on other flowing sets; it is never shared
+    between threads.
     """
 
     A: sp.csr_matrix = field(repr=False)

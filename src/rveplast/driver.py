@@ -130,17 +130,18 @@ def plastic_fraction(state: RveState) -> np.ndarray:
     return np.count_nonzero(state.p.reshape(K, npt), axis=1) / npt
 
 
-def _secant_coefficient(tensors: np.ndarray, l: int) -> float:
-    """c_l = dF_l . dF_(l-1) / |dF_(l-1)|^2 with dF_l = F_l - F_(l-1).
+def _secant_coefficients(tensors: np.ndarray) -> np.ndarray:
+    """c_l = dF_l . dF_(l-1) / |dF_(l-1)|^2 with dF_l = F_l - F_(l-1), for l = 0..N.
 
     The warm start of step l is phi_(l-1) + c_l (phi_(l-1) - phi_(l-2)).
     c_l is 0 on the first step and after a step of zero strain.
     """
-    if l < 2:
-        return 0.0
-    step, last = tensors[l] - tensors[l - 1], tensors[l - 1] - tensors[l - 2]
-    norm = last @ last
-    return float(step @ last / norm) if norm > 0.0 else 0.0
+    steps = np.diff(tensors, axis=0)
+    last = steps[:-1]
+    c = np.zeros(len(tensors))
+    norms = np.einsum("ij,ij->i", last, last)
+    np.divide(np.einsum("ij,ij->i", steps[1:], last), norms, out=c[2:], where=norms > 0.0)
+    return c
 
 
 def run_path(
@@ -155,7 +156,8 @@ def run_path(
     zero state at t=0.  Pass a list as ``reports`` to collect the solver
     report of every increment.  The increments share one operator, one map
     from ps_map F to the load and the stress, and one Schur factor cache, and
-    each starts at the secant predictor.
+    each starts at the secant predictor.  ps_map F of every step and the
+    predictor's coefficients depend on the path alone and are formed once.
     """
     cell = cell_structure(real.L)
     A = assemble_operator(real)
@@ -163,6 +165,10 @@ def run_path(
     # cell.load_map(real.a), and B @ ps_map(F) the load assemble_load makes
     B = np.column_stack([assemble_load(real, F) for F in _UNIT_STRAINS])
     a_sums = real.by_type("a").sum(axis=1)
+    # row l is ps_map(F_l), bitwise: ps_map maps a 2 x 2 x (N+1) stack entry by entry
+    f11, f12, f22 = path.tensors.T
+    ps_strains = np.ascontiguousarray(ps_map(np.array([[f11, f12], [f12, f22]])).T)
+    secant = _secant_coefficients(path.tensors)
     schur_factor: dict = {}
     state = RveState.zero(real.L)
     phi_before = state.phi  # the displacements of the step before the last
@@ -173,11 +179,9 @@ def run_path(
         )
     ]
     for l in range(1, path.n_steps + 1):
-        F = path.tensor(l)
-        v = ps_map(F)
+        v = ps_strains[l]
         prob = IncrementProblem(A, B @ v, real.sy, state.p, real.a, real.h, cell, schur_factor)
-        c = _secant_coefficient(path.tensors, l)
-        start = RveState(state.p, state.phi + c * (state.phi - phi_before))
+        start = RveState(state.p, state.phi + secant[l] * (state.phi - phi_before))
         phi_before = state.phi
         try:
             state, report = solve_increment(prob, warm_start=start, settings=settings)
@@ -191,5 +195,6 @@ def run_path(
         if reports is not None:
             reports.append(report)
         s = cell.mapped_stress(B, a_sums, cell.pack(state), v)
-        out.append((state, StressRecord(F, s, plastic_fraction(state), report.energy)))
+        record = StressRecord(path.tensor(l), s, plastic_fraction(state), report.energy)
+        out.append((state, record))
     return out

@@ -106,7 +106,8 @@ def ps_map(F) -> np.ndarray:
 
     Accepts a SymTensor2 or any 2x2 array-like; antisymmetric parts are
     annihilated.  For the triangular lattice the result is
-    (F11, F22, (F11 + 2 F12 + F22) / 2).
+    (F11, F22, (F11 + 2 F12 + F22) / 2).  A 2 x 2 x N stack of tensors maps
+    entry by entry to a 3 x N array, column j bitwise ps_map of tensor j.
     """
     if isinstance(F, SymTensor2):
         m = F.as_matrix()

@@ -152,7 +152,8 @@ class TestRunPath:
         # run_path and build_increment make the same increments: the same load
         # bitwise, the previous step's plastic strains, the same A; the steps
         # of one path share one Schur factor cache.  Each starts at the secant
-        # predictor phi_(l-1) + c_l (phi_(l-1) - phi_(l-2)), c_l from the strains
+        # predictor phi_(l-1) + c_l (phi_(l-1) - phi_(l-2)), c_l from the
+        # strains, and c_l = 0 after the repeated strain row (a zero step)
         solve = rveplast.driver.solve_increment
         problems = []
         starts = []
@@ -164,8 +165,9 @@ class TestRunPath:
 
         monkeypatch.setattr(rveplast.driver, "solve_increment", spy)
         real = sample(LAW, 8, 1, 4)
-        tensors = [[0, 0, 0], [1e-3, 4e-4, -2e-4], [2e-3, -3e-4, 5e-4], [0, 1e-3, 0]]
-        path = StrainPath(np.linspace(0.0, 1.0, 4), tensors)
+        repeated = [1e-3, 4e-4, -2e-4]
+        tensors = [[0, 0, 0], repeated, repeated, [2e-3, -3e-4, 5e-4], [0, 1e-3, 0]]
+        path = StrainPath(np.linspace(0.0, 1.0, 5), tensors)
         records = run_path(real, path)
         assert len(problems) == path.n_steps
         for l, prob in enumerate(problems, start=1):
@@ -180,9 +182,12 @@ class TestRunPath:
         steps = np.diff(path.tensors, axis=0)
         assert np.all(starts[0] == 0.0)
         for l in range(2, path.n_steps + 1):
-            c = np.dot(steps[l - 1], steps[l - 2]) / np.dot(steps[l - 2], steps[l - 2])
+            norm = np.dot(steps[l - 2], steps[l - 2])
+            c = np.dot(steps[l - 1], steps[l - 2]) / norm if norm > 0.0 else 0.0
             expected = phis[l] + c * (phis[l] - phis[l - 1])
             assert np.abs(starts[l - 1] - expected).max() <= 1e-14 * np.abs(expected).max()
+            if l == 3:  # the step after the zero step starts at phi_2 itself
+                assert c == 0.0 and np.array_equal(starts[l - 1], phis[l])
         assert c < 0.0  # the last step reverses the load
 
     @pytest.mark.parametrize("L", [4, 16])

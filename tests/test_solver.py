@@ -120,7 +120,9 @@ class TestNewtonCorrection:
     def test_halvings_count_rejected_trial_steps(self, monkeypatch):
         # under soft hardening a Newton step on a flowing set overshoots onto
         # the stiffer branch of edges that stick again; such a full step
-        # raises the energy and is halved.  Each trial step is one energy change
+        # raises the energy and is halved.  Each trial step is one energy change.
+        # A rejected trial point leaves no value behind: the residual and the
+        # flowing count of the report are those of the state returned
         energy_change = rveplast.solver._energy_change
         trials = []
 
@@ -135,9 +137,12 @@ class TestNewtonCorrection:
             prob = random_problem(3, seed=40 + seed, law=SOFT)
             warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
             trials.clear()
-            _, report = solve_increment(prob, warm_start=warm)
+            state, report = solve_increment(prob, warm_start=warm)
             assert len(trials) == report.iterations + report.halvings
             assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
+            if report.halvings > 0:
+                assert report.residual == optimality_residual(prob, state)
+                assert report.flowing == np.count_nonzero(state.p != prob.p_prev)
             halvings += report.halvings
         assert halvings > 0
 
