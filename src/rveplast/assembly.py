@@ -33,9 +33,10 @@ stress, the derivative of the stored energy with respect to ps_map F.
 S(k) is the Hessian of the displacements once the plastic strains of the
 flowing edges are eliminated: a flowing edge puts its springs a_e and h_e
 in series, k_e = a_e h_e / (a_e + h_e), and a stuck edge keeps k_e = a_e.
-In the folded order S(k) is a band matrix, factored by LAPACK's band
-Cholesky (George and Liu, *Computer Solution of Large Sparse Positive
-Definite Systems*, 1981).
+S(k) has one form, its band factor: in the folded order S(k) is a band
+matrix, filled from k and factored by LAPACK's band Cholesky (George and
+Liu, *Computer Solution of Large Sparse Positive Definite Systems*, 1981),
+and no sparse S is assembled, since a product with S(k) is G.T (k G x).
 The cell average factor L^-2 is kept out of A, f and the dissipation
 weights (it does not change minimizers) and applied only when reporting
 energies and stresses.
@@ -69,10 +70,10 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     """Fixed pattern of sum_e v_e w_e w_e.T and the map M of v to its data.
 
     Row e of ``dof`` and ``weight`` lists the nonzero entries of the vector
-    w_e (entries of weight 0 are skipped).  Returns the pattern as a CSR
-    matrix of ones and the sparse map M with one row per pattern entry, so
-    that the matrix is csr(M v) on the pattern.  Pattern and values are
-    symmetric, so the CSR arrays are also the CSC arrays.
+    w_e (entries of weight 0 are skipped).  Returns the pattern's CSR
+    ``indices`` and ``indptr`` and the sparse map M with one row per pattern
+    entry, so that the matrix is csr((M v, indices, indptr)).  Pattern and
+    values are symmetric, so the CSR arrays are also the CSC arrays.
     """
     keep = weight != 0.0
     pair = keep[:, :, None] & keep[:, None, :]
@@ -81,24 +82,16 @@ def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
     e = np.broadcast_to(np.arange(dof.shape[0])[:, None, None], pair.shape)[pair]
     # row-major keys ascend in CSR order with sorted indices
     keys, entry = np.unique(i * size + j, return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
-    pattern = sp.csr_matrix((np.ones(keys.size), keys % size, indptr), shape=(size, size))
+    # int32, scipy's own index type at these sizes: csr_matrix then shares
+    # the arrays instead of converting a copy on every call
+    indices = (keys % size).astype(np.int32)
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
     values = (weight[:, :, None] * weight[:, None, :])[pair]
-    return pattern, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
-
-
-def _series(
-    a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
-) -> np.ndarray:
-    """k = a h / (a + h) on the flowing edges, a on the stuck ones.
-
-    ``series`` is a h / (a + h) on every edge, if the caller has formed it.
-    """
-    return np.where(flowing, a * h / (a + h) if series is None else series, a)
+    return indices, indptr, sp.csr_matrix((values, (entry, e)), shape=(keys.size, dof.shape[0]))
 
 
 class CellStructure:
-    """The cell of side L: its DOF numbering and clamp, G, and the patterns of A and S.
+    """The cell of side L: its DOF numbering and clamp, G, and the maps to A and S.
 
     Everything here depends on L alone (``cell_structure`` makes it once per
     L); a realization contributes only its edge values a and h.  The flat
@@ -115,11 +108,13 @@ class CellStructure:
     edge derivatives, g(phi) = G phi; row e holds the weights of the
     displacement components of the head and tail of edge e.  A and S(k) are
     sums of one rank-one term per edge, so each has a fixed pattern and a
-    sparse map from the edge values to its data: A.data = M [a; h], and
-    S(k).data = P k with P_(i,j),e = G_ei G_ej, at most 16 entries per edge.
-    ``band_index`` scatters S(k).data into LAPACK's lower band storage of S.
-    The arrays are read-only, because realizations on several threads share
-    one structure.
+    sparse map from the edge values to its data: A.data = M [a; h] on the
+    CSR pattern ``A_indices``, ``A_indptr``, and the entries of S(k) are
+    P k with P_(i,j),e = G_ei G_ej (``schur_map``, at most 16 entries per
+    edge).  S(k) is only ever factored: ``band_index`` scatters P k into
+    LAPACK's lower band storage of S, and a product with S(k) is
+    G.T (k G x).  The arrays are read-only, because realizations on several
+    threads share one structure.
     """
 
     def __init__(self, L: int, clamped: bool = True):
@@ -153,26 +148,27 @@ class CellStructure:
         rows = np.broadcast_to(edges[:, None], dof.shape)[keep]
         self.G = sp.csr_matrix((weight[keep], (rows, dof[keep])), shape=(n, m))
         self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
-        self.schur_pattern, self.schur_map = _quadratic_map(dof, weight, m)
+        cols, indptr, self.schur_map = _quadratic_map(dof, weight, m)
         # entry (i, j) of S and its transpose, with equal values, both go to
         # S[max, min], which sits at row min, column max - min of a C-ordered
         # (m, kd + 1) array: its transpose is LAPACK's lower band storage
-        rows = np.repeat(np.arange(m), np.diff(self.schur_pattern.indptr))
-        cols = self.schur_pattern.indices
+        rows = np.repeat(np.arange(m), np.diff(indptr))
         upper, lower = np.maximum(rows, cols), np.minimum(rows, cols)
         self.kd = kd = int((upper - lower).max(initial=0))
         self.band_index = lower * (kd + 1) + upper - lower
         # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
         stencil = np.column_stack([edges, dof + n])
         ones = np.ones((n, 1))
-        self.A_pattern, self.A_map = _quadratic_map(
+        self.A_indices, self.A_indptr, self.A_map = _quadratic_map(
             np.concatenate([stencil, stencil]),
             np.block([[-ones, weight], [ones, np.zeros_like(weight)]]),
             self.total,
         )
-        matrices = (self.G, self.G_t, self.schur_pattern, self.schur_map, self.A_pattern, self.A_map)
-        arrays = [arr for mat in matrices for arr in (mat.data, mat.indices, mat.indptr)]
-        for arr in arrays + [self.clamped_nodes, self.free, self.phi_index, self.band_index]:
+        arrays = [self.clamped_nodes, self.free, self.phi_index, self.band_index]
+        arrays += [self.A_indices, self.A_indptr]
+        for mat in (self.G, self.G_t, self.schur_map, self.A_map):
+            arrays += [mat.data, mat.indices, mat.indptr]
+        for arr in arrays:
             arr.flags.writeable = False
 
     def free_phi(self, phi: np.ndarray) -> np.ndarray:
@@ -189,29 +185,20 @@ class CellStructure:
         phi[self.phi_index] = y[self.n :]
         return RveState(y[: self.n].copy(), phi.reshape(self.free.shape))
 
-    def _edge_macro_strain(self, F) -> np.ndarray:
-        """Fhat_e = (ps_map F)_alpha on every edge e of type alpha."""
-        return np.repeat(ps_map(F), self.L**2)
-
     def operator(self, a: np.ndarray, h: np.ndarray) -> sp.csr_matrix:
         """A = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]."""
-        pattern = self.A_pattern
         data = self.A_map @ np.concatenate([a, h])
-        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return sp.csr_matrix((data, self.A_indices, self.A_indptr), shape=(self.total, self.total))
 
     def load_map(self, a: np.ndarray) -> np.ndarray:
         """B = [E; -G.T E], (n + m) x K, with E_e,alpha = a_e on the edges e of type alpha.
 
-        Load and stress are linear in v = ps_map F: f = B v (``load``), and
-        at the flat state y the stress is L^-2 (c v - B.T y) (``mapped_stress``).
+        Load and stress are linear in v = ps_map F: f = B v (``assemble_load``),
+        and at the flat state y the stress is L^-2 (c v - B.T y) (``mapped_stress``).
         """
         E = np.zeros((self.n, K))
         E[np.arange(self.n), np.arange(self.n) // self.L**2] = a
         return np.concatenate([E, -(self.G_t @ E)])
-
-    def load(self, a: np.ndarray, F) -> np.ndarray:
-        """f = B ps_map F = [a Fhat; -G.T (a Fhat)], with B = ``load_map(a)``."""
-        return self.load_map(a) @ ps_map(F)
 
     def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
         """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
@@ -219,8 +206,9 @@ class CellStructure:
         The displacements of ``state`` must vanish where they are clamped,
         as in every state the solver returns.
         """
-        phi = self.free_phi(state.phi)
-        sigma = a * (self._edge_macro_strain(F) + self.G @ phi - state.p)
+        # Fhat_e = (ps_map F)_alpha on every edge e of type alpha
+        Fhat = np.repeat(ps_map(F), self.L**2)
+        sigma = a * (Fhat + self.G @ self.free_phi(state.phi) - state.p)
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
 
     def mapped_stress(self, B: np.ndarray, c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -231,28 +219,15 @@ class CellStructure:
         """
         return (c * v - y @ B) * float(self.L) ** (-D)
 
-    def schur(
-        self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
-    ) -> sp.csc_matrix:
-        """S(k) = G.T diag(k) G with k = a h / (a + h) on the flowing edges, a elsewhere.
+    def factor_schur(self, k: np.ndarray) -> np.ndarray:
+        """Band Cholesky factor S(k) = G.T diag(k) G = U.T U (LAPACK dpbtrf).
 
-        Pattern and values are symmetric, so the CSR arrays of the pattern
-        are also the CSC arrays of S.  A caller that keeps a h / (a + h)
-        passes it as ``series``.
-        """
-        pattern = self.schur_pattern
-        data = self.schur_map @ _series(a, h, flowing, series)
-        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-    def factor_schur(
-        self, a: np.ndarray, h: np.ndarray, flowing: np.ndarray, series: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Band Cholesky factor S(k) = U.T U (LAPACK dpbtrf); ``solve_schur`` solves with it.
-
-        S (``schur``, ``series`` as there) is scattered once into a C-ordered
-        (m, kd + 1) array, whose Fortran-ordered transpose is LAPACK's lower
-        band storage and is factored in place, S = L L.T.  Returns U = L.T in
-        upper band storage.  Raises RuntimeError if S is not positive definite.
+        k holds one stiffness per edge.  The entries P k of S are scattered
+        once into a C-ordered (m, kd + 1) array, whose Fortran-ordered
+        transpose is LAPACK's lower band storage and is factored in place,
+        S = L L.T.  Returns U = L.T in upper band storage, which
+        ``solve_schur`` solves with.  Raises RuntimeError if S is not
+        positive definite.
         """
         # the lower factorization: on OpenBLAS's default two threads the
         # upper one of a band narrower than 64 took 2-5x as long as on one
@@ -263,7 +238,7 @@ class CellStructure:
         # starts kd**2 zeros early, where the unreferenced corner of U reads.
         m, kd = self.m, self.kd
         memory = np.zeros(kd * kd + m * (kd + 1))
-        memory[kd * kd + self.band_index] = self.schur_map @ _series(a, h, flowing, series)
+        memory[kd * kd + self.band_index] = self.schur_map @ k
         band = memory[kd * kd :].reshape(m, kd + 1).T
         _, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
@@ -296,7 +271,7 @@ def assemble_load(real: Realization, F) -> np.ndarray:
     up to the constant sum_e a_e/2 Fhat_e^2.  With spatially constant
     coefficients the displacement block of f telescopes to zero.
     """
-    return cell_structure(real.L).load(real.a, F)
+    return cell_structure(real.L).load_map(real.a) @ ps_map(F)
 
 
 @dataclass(frozen=True)
@@ -307,10 +282,9 @@ class IncrementProblem:
     solver's return map and Schur complement read them.  ``schur_factor``
     holds the solve with the solver's last band factor of a Schur complement
     (``CellStructure.factor_schur``), paired with the flowing set it
-    eliminated ("last"), and a h / (a + h) ("series").  The increments of
-    one path share it: the factor solves directly while the flowing set
-    repeats and preconditions CG on other flowing sets; it is never shared
-    between threads.
+    eliminated ("last").  The increments of one path share it: the factor
+    solves directly while the flowing set repeats and preconditions CG on
+    other flowing sets; it is never shared between threads.
     """
 
     A: sp.csr_matrix = field(repr=False)

@@ -12,10 +12,11 @@ semismooth Newton on E (the primal-dual active set method): each step
 solves S(k) dphi = -grad E(phi) and backtracks along phi, every trial point
 being (p*(phi + s dphi), phi + s dphi).
 
-S is one sparse matrix-vector product onto a fixed pattern, and every factor
-of S is a band Cholesky factor (LAPACK's ``dpbtrf``): the cell numbers its
-displacements in a folded order that keeps S within a band of half-width
-at most 4L + 5 (``CellStructure.factor_schur``).  The increments of a path
+S(k) is never assembled as a sparse matrix.  It is either factored, a
+band Cholesky factor (LAPACK's ``dpbtrf``) filled from k, since the cell
+numbers its displacements in a folded order that keeps S within a band of
+half-width at most 4L + 5 (``CellStructure.factor_schur``), or applied by
+CG as G.T (k G x), two products with the cell's G.  The increments of a path
 hold one factor of S, that of the last flowing set factored, and solve
 directly with it while the flowing set repeats.  On a small cell (L < 16)
 every new flowing set is factored.  On a large cell the factor of the last
@@ -66,11 +67,12 @@ line search, is evaluated once (``_Point``): its return map, then
 p - p_prev and its sign, which its certificate, its flowing set and the
 energy changes from and to it share.  The terms of the return map that
 depend on the increment alone, a + h, (a + h) p_prev - f_p and -r, are
-formed once per increment, and a h / (a + h) once per path.  The
-certificate still forms A y afresh at each accepted point instead of
-carrying g forward by the A delta of the step's energy change: the update
-would add each step's round-off to the residual that decides the exit, and
-the certificate would check the steps taken rather than the point returned.
+formed once per increment, and k only on a Newton step whose flowing set
+is not the one factored last.  The certificate still forms A y afresh at
+each accepted point instead of carrying g forward by the A delta of the
+step's energy change: the update would add each step's round-off to the
+residual that decides the exit, and the certificate would check the steps
+taken rather than the point returned.
 """
 
 from __future__ import annotations
@@ -221,12 +223,14 @@ def _energy_change(prob: IncrementProblem, y: _Point, z: _Point, g: np.ndarray) 
 
 
 def _pcg(
-    S, precondition, b: np.ndarray, target: float, changes_pattern=None
+    apply_S, precondition, b: np.ndarray, target: float, changes_pattern=None
 ) -> tuple[np.ndarray | None, int]:
     """Conjugate gradients on S x = b until max|b - S x| <= target.
 
-    Returns x and the iterations taken, or None for x if the cap is reached
-    or the iteration breaks down (d.S d <= 0 or a non-finite value).  If
+    ``apply_S`` maps d to S d, and ``precondition`` r to an approximation
+    of S^-1 r.  Returns x and the iterations taken, or None for x if the
+    cap is reached or the iteration breaks down (d.S d <= 0 or a non-finite
+    value).  If
     ``changes_pattern`` is given, it is called once, on the first iterate x
     short of the target with max|b - S x| <= _PATTERN_CHECK max|b|; if it
     returns True, that x is returned, and otherwise the iteration goes on
@@ -250,7 +254,7 @@ def _pcg(
         z = precondition(r)
         rz, rz_old = r @ z, rz
         d = z if d is None else z + (rz / rz_old) * d
-        q = S @ d
+        q = apply_S(d)
         dq = d @ q
         if not (0.0 < dq < np.inf and np.isfinite(rz)):
             break
@@ -274,11 +278,11 @@ def _newton_direction(
     ``prob.schur_factor`` holds the solve with the path's last band factor
     of a Schur complement, keyed by the flowing set it eliminated ("last").
     On that set the factor solves directly.  On another set of a large cell it
-    preconditions CG on the new S down to max|S d_phi - rhs| <= target, or
-    until an iterate already changes the side pattern of y (an inexact
-    step).  The new S is factored, and its factor replaces the old, only if
-    there is no factor yet, the cell is small, or CG fails.  The cache also
-    holds a h / (a + h), formed once per path ("series").
+    preconditions CG on the new S, applied as G.T (k G d), down to
+    max|S d_phi - rhs| <= target, or until an iterate already changes the
+    side pattern of y (an inexact step).  The new S is factored, and its
+    factor replaces the old, only if there is no factor yet, the cell is
+    small, or CG fails.
     """
     cell = prob.cell
     n = cell.n
@@ -287,9 +291,8 @@ def _newton_direction(
     last_key, last_solve = cache.get("last", (None, None))
     if last_key == key:
         return last_solve(rhs)
-    series = cache.get("series")
-    if series is None:
-        series = cache["series"] = prob.a * prob.h / (prob.a + prob.h)
+    # a flowing edge puts its springs in series, a h / (a + h) with terms[0] = a + h
+    k = np.where(flowing, prob.a * prob.h / terms[0], prob.a)
     if last_solve is not None and rhs.size >= _PCG_MIN_DOFS:
 
         def changes_pattern(d_phi: np.ndarray) -> bool:
@@ -298,8 +301,9 @@ def _newton_direction(
             report.pattern_exits += changed
             return changed
 
-        S = cell.schur(prob.a, prob.h, flowing, series)
-        d_phi, iterations = _pcg(S, last_solve, rhs, target, changes_pattern)
+        d_phi, iterations = _pcg(
+            lambda d: cell.G_t @ (k * (cell.G @ d)), last_solve, rhs, target, changes_pattern
+        )
         report.pcg_solves += 1
         report.pcg_iterations += iterations
         if d_phi is not None:
@@ -308,7 +312,7 @@ def _newton_direction(
     cache.pop("last", None)
     report.factors += 1
     try:
-        solve = partial(cell.solve_schur, cell.factor_schur(prob.a, prob.h, flowing, series))
+        solve = partial(cell.solve_schur, cell.factor_schur(k))
     except RuntimeError as err:
         raise SolverError(f"Schur complement not factorizable: {err}", report) from err
     cache["last"] = (key, solve)

@@ -279,7 +279,8 @@ class TestCellStructure:
         second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
         assert second is first and cell_structure.cache_info().misses == 1
         arrays = [first.clamped_nodes, first.free, first.phi_index, first.band_index]
-        for mat in (first.G, first.G_t, first.schur_map, first.schur_pattern, first.A_map, first.A_pattern):
+        arrays += [first.A_indices, first.A_indptr]
+        for mat in (first.G, first.G_t, first.schur_map, first.A_map):
             arrays += [mat.data, mat.indices, mat.indptr]
         assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError):
@@ -289,6 +290,32 @@ class TestCellStructure:
 def schur_setup(L, seed=13):
     real, cell = sample(LAW, seed, 1, L), cell_structure(L)
     return real, assemble_operator(real), cell.n, cell
+
+
+def stiffness(real, flowing):
+    """k = a h / (a + h) on the flowing edges, a on the stuck ones."""
+    return np.where(flowing, real.a * real.h / (real.a + real.h), real.a)
+
+
+def dense_schur(cell, k):
+    """S(k) = G.T diag(k) G as a dense array."""
+    return (cell.G_t @ sp.diags(k) @ cell.G).toarray()
+
+
+def band_of(cell, k):
+    """The band factor_schur fills with P k, and S(k)'s lower triangle read back from it.
+
+    The band holds S[i, j], i >= j, at row j and column i - j; ``inside``
+    marks the band entries with i < m.
+    """
+    band = np.zeros((cell.m, cell.kd + 1))
+    band.ravel()[cell.band_index] = cell.schur_map @ k
+    j, c = np.indices(band.shape)
+    i = j + c
+    inside = i < cell.m
+    lower = np.zeros((cell.m, cell.m))
+    lower[i[inside], j[inside]] = band[inside]
+    return band, inside, lower
 
 
 class TestOperatorBlocks:
@@ -307,10 +334,15 @@ class TestOperatorBlocks:
         w = np.where(mask, 1.0 / np.diag(dense)[:n], 0.0)
         Q, C = dense[n:, n:], dense[n:, :n]
         expected = Q - C @ np.diag(w) @ C.T
-        S = cell.schur(real.a, real.h, mask)
-        assert S.shape == Q.shape
         scale = np.abs(expected).max(initial=0.0)
-        assert np.abs(S.toarray() - expected).max(initial=0.0) <= 1e-13 * scale
+        k = stiffness(real, mask)
+        # the two forms S takes: the band factor_schur factors, and CG's product
+        _, _, lower = band_of(cell, k)
+        from_band = lower + np.tril(lower, -1).T
+        product = cell.G_t @ (k[:, None] * (cell.G @ np.eye(cell.m)))
+        for S in (from_band, product):
+            assert S.shape == Q.shape
+            assert np.abs(S - expected).max(initial=0.0) <= 1e-13 * scale
 
     def test_schur_map_has_at_most_16_entries_per_plastic_dof(self):
         _, _, n, cell = schur_setup(6)
@@ -335,31 +367,26 @@ class TestSchurFactor:
         # the last row of S
         real, _, n, cell = schur_setup(L)
         assert cell.kd <= min(4 * L + 5, cell.m - 1)
-        flowing = np.random.default_rng(L).random(n) < 0.5
-        S = cell.schur(real.a, real.h, flowing)
-        band = np.zeros((cell.m, cell.kd + 1))
-        band.ravel()[cell.band_index] = S.data
-        j, c = np.indices(band.shape)
-        i = j + c
-        inside = i < cell.m
-        lower = np.zeros(S.shape)
-        lower[i[inside], j[inside]] = band[inside]
+        k = stiffness(real, np.random.default_rng(L).random(n) < 0.5)
+        band, inside, lower = band_of(cell, k)
+        expected = np.tril(dense_schur(cell, k))
         assert not band[~inside].any()
-        assert np.array_equal(lower, np.tril(S.toarray()))
+        assert np.array_equal(lower != 0.0, expected != 0.0)
+        assert np.abs(lower - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_clamped_only_cell_has_empty_factor(self):
         real, _, n, cell = schur_setup(2)
         assert cell.m == 0 and cell.phi_index.size == 0 and cell.kd == 0
-        c = cell.factor_schur(real.a, real.h, np.ones(n, dtype=bool))
+        c = cell.factor_schur(stiffness(real, np.ones(n, dtype=bool)))
         assert c.shape == (1, 0)
         assert cell.solve_schur(c, np.zeros(0)).shape == (0,)
 
     def test_smallest_free_cell_solves(self):
         real, _, n, cell = schur_setup(3)
-        flowing = np.arange(n) % 2 == 0
-        S = cell.schur(real.a, real.h, flowing).toarray()
+        k = stiffness(real, np.arange(n) % 2 == 0)
+        S = dense_schur(cell, k)
         b = np.random.default_rng(3).normal(size=cell.m)
-        x = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
+        x = cell.solve_schur(cell.factor_schur(k), b)
         expected = np.linalg.solve(S, b)
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -377,9 +404,10 @@ class TestSchurFactor:
         }[active]
         assert cell.kd <= min(4 * L + 5, max(cell.m - 1, 0))
         b = rng.normal(size=cell.m)
-        S = cell.schur(real.a, real.h, flowing)
-        expected = np.linalg.solve(S.toarray(), b)
-        x = cell.solve_schur(cell.factor_schur(real.a, real.h, flowing), b)
+        k = stiffness(real, flowing)
+        S = dense_schur(cell, k)
+        expected = np.linalg.solve(S, b)
+        x = cell.solve_schur(cell.factor_schur(k), b)
         assert np.abs(x - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
         assert np.abs(S @ x - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
 

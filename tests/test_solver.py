@@ -45,6 +45,17 @@ def with_weights(prob, r):
     return replace(prob, r=r)
 
 
+def stiffness(prob, flowing):
+    """k = a h / (a + h) on the flowing edges, a on the stuck ones."""
+    return np.where(flowing, prob.a * prob.h / (prob.a + prob.h), prob.a)
+
+
+def dense_schur(prob, flowing):
+    """S(k) = G.T diag(k) G of the flowing set as a dense array."""
+    cell = prob.cell
+    return (cell.G_t @ sp.diags(stiffness(prob, flowing)) @ cell.G).toarray()
+
+
 class TestReturnMap:
     @pytest.mark.parametrize("L", [3, 6])
     def test_matches_scalar_return_map(self, L):
@@ -146,6 +157,32 @@ class TestNewtonCorrection:
             halvings += report.halvings
         assert halvings > 0
 
+    @pytest.mark.parametrize("law", [SOFT, LAW], ids=["soft", "law"])
+    def test_report_of_solve_with_halved_last_step(self, monkeypatch, law):
+        # a first trial step of length 3 overshoots the minimum along the
+        # last Newton direction, on whose side pattern the full step lands,
+        # so the last Newton step rejects a trial point before it takes the
+        # full one; the report's residual and flowing count are still those
+        # of the state returned.  The last step's rejected trial is the
+        # energy change before the accepted one
+        monkeypatch.setattr(rveplast.solver, "_STEPS", [3.0, *rveplast.solver._STEPS])
+        energy_change = rveplast.solver._energy_change
+        changes = []
+        monkeypatch.setattr(
+            rveplast.solver,
+            "_energy_change",
+            lambda *args: changes.append(energy_change(*args)) or changes[-1],
+        )
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            prob = random_problem(3, seed=40 + seed, law=law)
+            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+            changes.clear()
+            state, report = solve_increment(prob, warm_start=warm)
+            assert report.iterations > 0 and changes[-2] > 0.0 >= changes[-1]
+            assert report.residual == optimality_residual(prob, state)
+            assert report.flowing == np.count_nonzero(state.p != prob.p_prev)
+
     def test_reused_factor_matches_fresh_problem(self):
         # the Schur factor is kept between solves on the same operator: a
         # repeated flowing set must reuse it, a changed one must not
@@ -196,7 +233,7 @@ class TestNewtonCorrection:
             # states to the difference of two such residuals
             side = np.sign(state.p - prob.p_prev)
             assert np.array_equal(side, np.sign(expected.p - prob.p_prev))
-            S = prob.cell.schur(prob.a, prob.h, side != 0)
+            S = dense_schur(prob, side != 0)
             d_phi = prob.cell.pack(state)[n:] - prob.cell.pack(expected)[n:]
             assert np.abs(S @ d_phi).max() <= 2 * target
             cg_states_moved += report.pcg_solves > 0 and not np.array_equal(state.phi, expected.phi)
@@ -218,21 +255,21 @@ def increment_on_path(L, step=25, seed=20240):
 
 
 def first_newton_step(L):
-    """S, the right-hand side and the CG target of the first Newton step of an increment."""
+    """S (dense), the right-hand side and the CG target of the first Newton step of an increment."""
     prob, state = increment_on_path(L)
     n = prob.cell.n
     phi = prob.cell.pack(state)[n:]
     y = np.concatenate([_return_map(prob, phi), phi])
     rhs = prob.f[n:] - (prob.A @ y)[n:]
     flowing = y[:n] != prob.p_prev
-    S = prob.cell.schur(prob.a, prob.h, flowing)
+    S = dense_schur(prob, flowing)
     target = SolverSettings().tol_residual * (1 + np.abs(prob.f).max()) / 10
     return prob, flowing, S, rhs, target
 
 
 def band_solve(prob, flowing):
     """The solve with the band factor of S on ``flowing``, as the solver keeps it."""
-    return partial(prob.cell.solve_schur, prob.cell.factor_schur(prob.a, prob.h, flowing))
+    return partial(prob.cell.solve_schur, prob.cell.factor_schur(stiffness(prob, flowing)))
 
 
 class TestPreconditionedSolve:
@@ -246,7 +283,7 @@ class TestPreconditionedSolve:
         for _ in range(3):
             other = flowing ^ (rng.random(prob.cell.n) < 0.05)
             solve = band_solve(prob, other)
-            d_phi, iterations = rveplast.solver._pcg(S, solve, rhs, target)
+            d_phi, iterations = rveplast.solver._pcg(S.dot, solve, rhs, target)
             assert d_phi is not None and iterations <= rveplast.solver._PCG_MAX_ITER
             assert np.abs(S @ d_phi - rhs).max() <= target
 
@@ -256,8 +293,8 @@ class TestPreconditionedSolve:
         prob, flowing, S, rhs, target = first_newton_step(14)
         solve = band_solve(prob, ~flowing)
         asked = []
-        expected = rveplast.solver._pcg(S, solve, rhs, target)
-        got = rveplast.solver._pcg(S, solve, rhs, target, lambda x: asked.append(x) or False)
+        expected = rveplast.solver._pcg(S.dot, solve, rhs, target)
+        got = rveplast.solver._pcg(S.dot, solve, rhs, target, lambda x: asked.append(x) or False)
         assert len(asked) == 1
         assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
 
@@ -269,7 +306,7 @@ class TestPreconditionedSolve:
         solve = band_solve(prob, ~flowing)
         solves = []
         x, iterations = rveplast.solver._pcg(
-            S, lambda r: solves.append(r) or solve(r), rhs, target, lambda x: check
+            S.dot, lambda r: solves.append(r) or solve(r), rhs, target, lambda x: check
         )
         assert x is not None and iterations > 0
         assert len(solves) == iterations
@@ -283,13 +320,13 @@ class TestPreconditionedSolve:
         level = rveplast.solver._PATTERN_CHECK * np.abs(rhs).max()
         asked = []
         x, iterations = rveplast.solver._pcg(
-            S, solve, rhs, target, lambda x: asked.append(x) or True
+            S.dot, solve, rhs, target, lambda x: asked.append(x) or True
         )
-        first, first_iterations = rveplast.solver._pcg(S, solve, rhs, level)
+        first, first_iterations = rveplast.solver._pcg(S.dot, solve, rhs, level)
         assert len(asked) == 1 and asked[0] is x
         assert iterations == first_iterations and np.array_equal(x, first)
         assert target < np.abs(S @ x - rhs).max() <= level
-        assert iterations < rveplast.solver._pcg(S, solve, rhs, target)[1]
+        assert iterations < rveplast.solver._pcg(S.dot, solve, rhs, target)[1]
 
     def test_pattern_exits_save_cg_iterations(self, monkeypatch):
         # on a monotonic path some CG solves stop at a step that changes the
@@ -345,8 +382,8 @@ class TestPreconditionedSolve:
         # non-finite values breaks CG down at once; the new S is factored
         # and replaces it
         prob, state = increment_on_path(16)
-        S = prob.cell.schur(prob.a, prob.h, np.ones(prob.cell.n, dtype=bool))
-        assert rveplast.solver._pcg(S, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
+        S = dense_schur(prob, np.ones(prob.cell.n, dtype=bool))
+        assert rveplast.solver._pcg(S.dot, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
         prob.schur_factor["last"] = (b"another flowing set", solve)
         result, report = solve_increment(prob, warm_start=state)
         assert report.converged and report.factors >= 1 and report.pcg_solves >= 1
