@@ -25,11 +25,11 @@ needs follows from G and its edge values a, h:
     S(k)    = G.T diag(k) G
 
 The smooth part of J is carried as 1/2 y.A y - f.y with the Hessian A
-(independent of F) and the load f, which the (n + m) x K matrix B maps
-from ps_map F (E_e,alpha = a_e on the type-alpha edges, 0 elsewhere,
-so the K loads of unit ps_map F are B's columns); this equals it minus the
-state-independent constant sum_e a_e/2 Fhat_e^2.  s is the cell-averaged
-stress, the derivative of the stored energy with respect to ps_map F.
+(independent of F) and the load f, which the (n + m) x K load map B
+(``assemble_load``) maps from ps_map F (E_e,alpha = a_e on the type-alpha
+edges, 0 elsewhere); this equals it minus the state-independent constant
+sum_e a_e/2 Fhat_e^2.  s is the cell-averaged stress, the derivative of
+the stored energy with respect to ps_map F.
 S(k) is the Hessian of the displacements once the plastic strains of the
 flowing edges are eliminated: a flowing edge puts its springs a_e and h_e
 in series, k_e = a_e h_e / (a_e + h_e), and a stuck edge keeps k_e = a_e.
@@ -109,10 +109,11 @@ class CellStructure:
     displacement components of the head and tail of edge e.  A and S(k) are
     sums of one rank-one term per edge, so each has a fixed pattern and a
     sparse map from the edge values to its data: A.data = M [a; h] on the
-    CSR pattern ``A_indices``, ``A_indptr``, and the entries of S(k) are
-    P k with P_(i,j),e = G_ei G_ej (``schur_map``, at most 16 entries per
-    edge).  S(k) is only ever factored: ``band_index`` scatters P k into
-    LAPACK's lower band storage of S, and a product with S(k) is
+    CSR pattern ``A_indices``, ``A_indptr``, and the lower triangle of S(k)
+    is P k with P_(i,j),e = G_ei G_ej, i >= j (``schur_map``, at most 10
+    entries per edge, the lower triangle of a 4 x 4 outer product).  S(k)
+    is only ever factored: ``band_index`` scatters P k into LAPACK's lower
+    band storage of S, one slot per row of P, and a product with S(k) is
     G.T (k G x).  The arrays are read-only, because realizations on several
     threads share one structure.
     """
@@ -148,14 +149,16 @@ class CellStructure:
         rows = np.broadcast_to(edges[:, None], dof.shape)[keep]
         self.G = sp.csr_matrix((weight[keep], (rows, dof[keep])), shape=(n, m))
         self.G_t = self.G.T.tocsr()  # kept: a transpose per call costs 4x the product
-        cols, indptr, self.schur_map = _quadratic_map(dof, weight, m)
-        # entry (i, j) of S and its transpose, with equal values, both go to
-        # S[max, min], which sits at row min, column max - min of a C-ordered
-        # (m, kd + 1) array: its transpose is LAPACK's lower band storage
+        cols, indptr, schur_map = _quadratic_map(dof, weight, m)
+        # S is symmetric: keep its lower triangle, i >= j.  S[i, j] sits at
+        # row j, column i - j of a C-ordered (m, kd + 1) array, whose
+        # transpose is LAPACK's lower band storage
         rows = np.repeat(np.arange(m), np.diff(indptr))
-        upper, lower = np.maximum(rows, cols), np.minimum(rows, cols)
-        self.kd = kd = int((upper - lower).max(initial=0))
-        self.band_index = lower * (kd + 1) + upper - lower
+        lower = np.flatnonzero(rows >= cols)
+        rows, cols = rows[lower], cols[lower]
+        self.schur_map = schur_map[lower]
+        self.kd = kd = int((rows - cols).max(initial=0))
+        self.band_index = cols * (kd + 1) + rows - cols
         # A: a_e times the stencil of g_e - p_e, then h_e times that of p_e
         stencil = np.column_stack([edges, dof + n])
         ones = np.ones((n, 1))
@@ -190,16 +193,6 @@ class CellStructure:
         data = self.A_map @ np.concatenate([a, h])
         return sp.csr_matrix((data, self.A_indices, self.A_indptr), shape=(self.total, self.total))
 
-    def load_map(self, a: np.ndarray) -> np.ndarray:
-        """B = [E; -G.T E], (n + m) x K, with E_e,alpha = a_e on the edges e of type alpha.
-
-        Load and stress are linear in v = ps_map F: f = B v (``assemble_load``),
-        and at the flat state y the stress is L^-2 (c v - B.T y) (``mapped_stress``).
-        """
-        E = np.zeros((self.n, K))
-        E[np.arange(self.n), np.arange(self.n) // self.L**2] = a
-        return np.concatenate([E, -(self.G_t @ E)])
-
     def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
         """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
 
@@ -212,7 +205,7 @@ class CellStructure:
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
 
     def mapped_stress(self, B: np.ndarray, c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``stress`` read off B = ``load_map(a)``: L^-2 (c v - B.T y).
+        """``stress`` read off the load map B (``assemble_load``): L^-2 (c v - B.T y).
 
         y is the flat state, v = ps_map F and c_alpha the sum of a over the
         type-alpha edges; equal to ``stress`` up to round-off.
@@ -264,14 +257,20 @@ def assemble_operator(real: Realization) -> sp.csr_matrix:
     return cell_structure(real.L).operator(real.a, real.h)
 
 
-def assemble_load(real: Realization, F) -> np.ndarray:
-    """Load vector f with f.y = sum_e a_e Fhat_e (p_e - g_e(phi)).
+def assemble_load(real: Realization) -> np.ndarray:
+    """The load map B = [E; -G.T E], (n + m) x K, with E_e,alpha = a_e on the edges e of type alpha.
 
-    This makes 1/2 y.A y - f.y equal the stored energy at macro strain F
-    up to the constant sum_e a_e/2 Fhat_e^2.  With spatially constant
-    coefficients the displacement block of f telescopes to zero.
+    Load and stress are linear in v = ps_map F.  The load at macro strain F
+    is f = B v, with f.y = sum_e a_e Fhat_e (p_e - g_e(phi)), which makes
+    1/2 y.A y - f.y equal the stored energy up to the constant
+    sum_e a_e/2 Fhat_e^2; at the flat state y the stress is
+    L^-2 (c v - B.T y) (``CellStructure.mapped_stress``).  With spatially
+    constant coefficients the displacement block of f telescopes to zero.
     """
-    return cell_structure(real.L).load_map(real.a) @ ps_map(F)
+    cell = cell_structure(real.L)
+    E = np.zeros((cell.n, K))
+    E[np.arange(cell.n), np.arange(cell.n) // real.L**2] = real.a
+    return np.concatenate([E, -(cell.G_t @ E)])
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ def build_increment(
     cell = cell_structure(real.L)
     return IncrementProblem(
         A=assemble_operator(real) if A is None else A,
-        f=assemble_load(real, F),
+        f=assemble_load(real) @ ps_map(F),
         r=real.sy,
         p_prev=np.zeros(cell.n) if p_prev is None else np.asarray(p_prev, dtype=float),
         a=real.a,

@@ -4,11 +4,11 @@ Starting from the trivial state, each time step solves the increment at the
 current macro strain F and records the cell-averaged stress (the
 hysteresis-operator output) together with the per-type plastic fractions.
 The load and the stress depend on F only through v = ps_map F, linearly, so
-a path assembles once the loads of the three unit strains, the columns of an
-(n + m) x 3 matrix B (``CellStructure.load_map``): a step's load is B v,
-bitwise the load ``assemble_load`` makes, and its stress is
-L^-2 (c v - B.T y) at the solved state y (``CellStructure.mapped_stress``),
-with c_alpha the sum of a over the type-alpha edges.
+a path assembles its (n + m) x 3 load map B once (``assemble_load``): a
+step's load is B v, bitwise the load ``build_increment`` makes, and its
+stress is L^-2 (c v - B.T y) at the solved state y
+(``CellStructure.mapped_stress``), with c_alpha the sum of a over the
+type-alpha edges.
 
 Each solve starts at the secant predictor: the previous displacements
 extrapolated along the last step's change, scaled by the projection of the
@@ -38,10 +38,6 @@ from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
 
 
-# the macro strains with ps_map F_alpha = e_alpha, the unit strain of edge type alpha
-_UNIT_STRAINS = (SymTensor2(1.0, -0.5, 0.0), SymTensor2(0.0, -0.5, 1.0), SymTensor2(0.0, 1.0, 0.0))
-
-
 @dataclass(frozen=True)
 class StrainPath:
     """Macroscopic strain trajectory sampled at increasing time stamps."""
@@ -54,6 +50,8 @@ class StrainPath:
         tensors = np.asarray(self.tensors, dtype=float)
         if times.ndim != 1 or tensors.shape != (times.size, 3):
             raise ValueError("need times (N+1,) and tensors (N+1, 3)")
+        if not (np.isfinite(times).all() and np.isfinite(tensors).all()):
+            raise ValueError("time stamps and strains must be finite")
         if times.size < 1 or np.any(np.diff(times) <= 0):
             raise ValueError("time stamps must be strictly increasing")
         if np.any(tensors[0] != 0.0):
@@ -161,9 +159,7 @@ def run_path(
     """
     cell = cell_structure(real.L)
     A = assemble_operator(real)
-    # column alpha of B is the load at the unit strain of type alpha: B is
-    # cell.load_map(real.a), and B @ ps_map(F) the load assemble_load makes
-    B = np.column_stack([assemble_load(real, F) for F in _UNIT_STRAINS])
+    B = assemble_load(real)
     a_sums = real.by_type("a").sum(axis=1)
     # row l is ps_map(F_l), bitwise: ps_map maps a 2 x 2 x (N+1) stack entry by entry
     f11, f12, f22 = path.tensors.T

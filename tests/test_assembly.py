@@ -152,13 +152,13 @@ class TestOperator:
 class TestLoad:
     def test_zero_strain_zero_load(self):
         real = sample(LAW, 6, 1, 4)
-        assert np.all(assemble_load(real, SymTensor2.zero()) == 0.0)
+        assert np.all(assemble_load(real) @ ps_map(SymTensor2.zero()) == 0.0)
 
     def test_homogeneous_displacement_block_vanishes(self):
         # constant edge forces telescope to zero around every node
         law = MaterialLaw.point_mass(1.5e6, 1.6e6, 1.0e3)
         real = sample(law, 0, 1, 5)
-        f = assemble_load(real, SymTensor2(2e-3, 3e-4, -1e-3))
+        f = assemble_load(real) @ ps_map(SymTensor2(2e-3, 3e-4, -1e-3))
         cell = cell_structure(5)
         assert np.abs(f[cell.n :]).max() < 1e-9 * np.abs(f).max()
 
@@ -167,7 +167,7 @@ class TestLoad:
         # (sign fixed by the stored-energy identity, see test below)
         real = sample(LAW, 7, 1, 4)
         gamma = 1.7e-3
-        f = assemble_load(real, SymTensor2(gamma, 0.0, 0.0))
+        f = assemble_load(real) @ ps_map(SymTensor2(gamma, 0.0, 0.0))
         npt = 16
         assert np.allclose(f[:npt], real.a[:npt] * gamma, rtol=1e-14)
         assert np.all(f[npt : 2 * npt] == 0.0)
@@ -176,7 +176,7 @@ class TestLoad:
     def test_load_pairing_matches_edge_sum(self, L):
         real = sample(LAW, 8, 1, L)
         F = SymTensor2(1.1e-3, -0.4e-3, 0.7e-3)
-        f = assemble_load(real, F)
+        f = assemble_load(real) @ ps_map(F)
         cell = cell_structure(L)
         rng = np.random.default_rng(L + 10)
         state = random_state(cell, rng)
@@ -187,7 +187,7 @@ class TestLoad:
         real = sample(LAW, 9, 1, L)
         F = SymTensor2(1.3e-3, 0.2e-3, -0.8e-3)
         A = assemble_operator(real)
-        f = assemble_load(real, F)
+        f = assemble_load(real) @ ps_map(F)
         cell = cell_structure(L)
         fhat = ps_map(F)
         const = float(np.sum(0.5 * real.by_type("a") * fhat[:, None] ** 2))
@@ -218,7 +218,7 @@ class TestLoadStressPairing:
     def test_load_pairing_matches_edge_definition(self, L):
         real = sample(LAW, 40 + L, 1, L)
         cell = cell_structure(L)
-        f = assemble_load(real, self.F)
+        f = assemble_load(real) @ ps_map(self.F)
         rng = np.random.default_rng(L)
         for _ in range(3):
             state = random_state(cell, rng)
@@ -243,14 +243,29 @@ class TestLoadStressPairing:
 
     @pytest.mark.parametrize("L", [2, 3, 6])
     def test_load_map_columns_are_unit_loads(self, L):
-        # run_path builds B from the loads at the three unit strains and takes
-        # each step's load as B ps_map(F): bitwise assemble_load's
+        # column alpha of B is the load at the unit strain of type alpha,
+        # ps_map F = e_alpha, and run_path takes each step's load as
+        # B ps_map(F): bitwise build_increment's
         real = sample(LAW, 60 + L, 1, L)
         cell = cell_structure(L)
-        B = cell.load_map(real.a)
+        B = assemble_load(real)
+        assert B.shape == (cell.total, K)
         units = [SymTensor2(1.0, -0.5, 0.0), SymTensor2(0.0, -0.5, 1.0), SymTensor2(0.0, 1.0, 0.0)]
-        assert np.array_equal(np.column_stack([assemble_load(real, F) for F in units]), B)
-        assert np.array_equal(B @ ps_map(self.F), assemble_load(real, self.F))
+        # g_e of the unit displacement of each free component, in DOF order
+        unit_g = []
+        for flat in cell.phi_index:
+            unit = RveState.zero(L)
+            unit.phi.reshape(-1)[flat] = 1.0
+            unit_g.append(edge_derivatives(unit, L))
+        for alpha, F in enumerate(units):
+            assert np.array_equal(ps_map(F), np.eye(K)[alpha])
+            # f.y = sum_e a_e Fhat_e (p_e - g_e(phi)), entry by entry
+            weights = real.by_type("a") * ps_map(F)[:, None]
+            f_phi = np.array([-np.sum(weights * g) for g in unit_g])
+            assert np.array_equal(B[: cell.n, alpha], weights.ravel())
+            tol = 1e-13 * np.abs(weights).sum()
+            assert np.abs(B[cell.n :, alpha] - f_phi).max(initial=0.0) <= tol
+        assert np.array_equal(build_increment(real, self.F).f, B @ ps_map(self.F))
         a_sums = real.by_type("a").sum(axis=1)
         rng = np.random.default_rng(20 + L)
         for _ in range(3):
@@ -345,9 +360,11 @@ class TestOperatorBlocks:
             assert np.abs(S - expected).max(initial=0.0) <= 1e-13 * scale
 
     def test_schur_map_has_at_most_16_entries_per_plastic_dof(self):
+        # an edge couples at most 4 displacement components, and the map
+        # holds the lower triangle of their 4 x 4 outer product
         _, _, n, cell = schur_setup(6)
         per_dof = np.diff(cell.schur_map.tocsc().indptr)
-        assert per_dof.size == n and per_dof.max() == 16
+        assert per_dof.size == n and per_dof.max() == 10
 
 
 class TestSchurFactor:
@@ -364,9 +381,10 @@ class TestSchurFactor:
     def test_band_holds_every_entry(self, L):
         # the folded order keeps S within half-width 4L + 5, and the band
         # holds S[i, j], i >= j, at row j and column i - j, and zeros past
-        # the last row of S
+        # the last row of S; the map fills each band slot once
         real, _, n, cell = schur_setup(L)
         assert cell.kd <= min(4 * L + 5, cell.m - 1)
+        assert np.unique(cell.band_index).size == cell.band_index.size == cell.schur_map.shape[0]
         k = stiffness(real, np.random.default_rng(L).random(n) < 0.5)
         band, inside, lower = band_of(cell, k)
         expected = np.tril(dense_schur(cell, k))

@@ -58,6 +58,13 @@ class TestPaths:
             StrainPath(np.array([0.0, 0.5, 0.5]), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             monotonic_path(n_steps=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                StrainPath(np.array([0.0, 1.0, bad]), np.zeros((3, 3)))
+            tensors = np.zeros((3, 3))
+            tensors[2, 1] = bad
+            with pytest.raises(ValueError):
+                StrainPath(np.array([0.0, 1.0, 2.0]), tensors)
 
 
 class TestStressVector:

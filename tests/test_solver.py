@@ -20,6 +20,7 @@ from rveplast.reference import brute_force_increment, return_map, SpringParams
 from rveplast.solver import (
     SolverError,
     SolverSettings,
+    _increment_terms,
     _return_map,
     optimality_residual,
     solve_increment,
@@ -64,7 +65,7 @@ class TestReturnMap:
         F = SymTensor2(*rng.normal(scale=5e-4, size=3))
         prob = build_increment(real, F, p_prev=rng.normal(scale=3e-4, size=3 * L**2))
         phi = rng.normal(scale=3e-4, size=prob.cell.m)
-        p = _return_map(prob, phi)
+        p = _return_map(prob, phi, _increment_terms(prob))
 
         state = prob.cell.unpack(np.concatenate([np.zeros(prob.cell.n), phi]))
         strain = (ps_map(F)[:, None] + edge_strains(state.phi, L)).ravel()
@@ -122,7 +123,7 @@ class TestNewtonCorrection:
                 warm = RveState(draws[: prob.cell.n], phi)
                 _, report = solve_increment(prob, warm_start=warm)
                 phi0 = prob.cell.pack(warm)[prob.cell.n :]
-                start = np.concatenate([_return_map(prob, phi0), phi0])
+                start = np.concatenate([_return_map(prob, phi0, _increment_terms(prob)), phi0])
                 assert report.energies[0] == increment_energy(prob, start)
                 assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
                 if law is SOFT:
@@ -259,7 +260,7 @@ def first_newton_step(L):
     prob, state = increment_on_path(L)
     n = prob.cell.n
     phi = prob.cell.pack(state)[n:]
-    y = np.concatenate([_return_map(prob, phi), phi])
+    y = np.concatenate([_return_map(prob, phi, _increment_terms(prob)), phi])
     rhs = prob.f[n:] - (prob.A @ y)[n:]
     flowing = y[:n] != prob.p_prev
     S = dense_schur(prob, flowing)
@@ -480,7 +481,7 @@ class TestSolveIncrement:
         report = excinfo.value.report
         assert report.iterations == 1 and not report.converged
         phi0 = np.zeros(prob.cell.m)
-        start = np.concatenate([_return_map(prob, phi0), phi0])
+        start = np.concatenate([_return_map(prob, phi0, _increment_terms(prob)), phi0])
         assert report.residual == optimality_residual(prob, start)  # the point is kept
 
     def test_settings_validation(self):
@@ -488,6 +489,12 @@ class TestSolveIncrement:
             SolverSettings(tol_residual=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_outer=0)
+        for bad in (np.inf, np.nan, -1e-9):
+            with pytest.raises(ValueError):
+                SolverSettings(tol_residual=bad)
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(ValueError):
+                SolverSettings(max_outer=bad)
 
 
 def intervals(low, high, zero=False):
