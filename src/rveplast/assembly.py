@@ -208,7 +208,9 @@ class CellStructure:
         """``stress`` read off the load map B (``assemble_load``): L^-2 (c v - B.T y).
 
         y is the flat state, v = ps_map F and c_alpha the sum of a over the
-        type-alpha edges; equal to ``stress`` up to round-off.
+        type-alpha edges; equal to ``stress`` up to round-off.  A stack of
+        states, one per row of y, with one v per row, gives one stress per
+        row.
         """
         return (c * v - y @ B) * float(self.L) ** (-D)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -231,14 +232,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    """One row per entry of ``rows``; floats (numpy's float64 too) get 17 significant digits."""
+    """One row per entry of ``rows``; floats (numpy's float64 too) get 17 significant digits.
+
+    The bytes are those of ``csv.writer`` with its defaults: each line is
+    formatted in one pass, with one format per sequence of value types
+    (``%.17g`` for floats, ``str`` otherwise), and ends in CR LF.  A value
+    that holds a comma, a quote or a line break, which ``csv.writer`` would
+    quote, raises ValueError.
+    """
+    formats: dict[tuple, str] = {}
+    lines = []
+    separators = 0
+    for row in itertools.chain([columns], rows):
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\r\n"
+            formats[kinds] = fmt
+        lines.append(fmt % tuple(row))
+        separators += len(kinds) - 1
+    text = "".join(lines)
+    breaks = len(lines)
+    counts = (text.count(","), text.count("\r"), text.count("\n"), text.count('"'))
+    if counts != (separators, breaks, breaks, 0):
+        raise ValueError(f"a value for {path.name} holds a comma, a quote or a line break")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(
-            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-        )
+        handle.write(text)
 
 
 def write_trajectories(path: Path, ensemble: McEnsemble) -> None:

@@ -10,6 +10,14 @@ stress is L^-2 (c v - B.T y) at the solved state y
 (``CellStructure.mapped_stress``), with c_alpha the sum of a over the
 type-alpha edges.
 
+A path keeps its states in one history array, one row per time stamp: the
+plastic strains, then the node-major displacements.  A step reads the
+previous plastic strains and the predictor's displacements from the rows
+before it and writes its solved state into its own row.  The stresses and
+plastic fractions of all steps are read off the whole history once, after
+the last step, and the returned states view its rows, so the history holds
+the path's states and nothing more.
+
 Each solve starts at the secant predictor: the previous displacements
 extrapolated along the last step's change, scaled by the projection of the
 new strain step onto the last one.  Along a uniaxial path the minimizer is
@@ -156,29 +164,35 @@ def run_path(
     from ps_map F to the load and the stress, and one Schur factor cache, and
     each starts at the secant predictor.  ps_map F of every step and the
     predictor's coefficients depend on the path alone and are formed once.
+    Each step solves into its row of the path's history, which the returned
+    states view; stresses and plastic fractions are formed for all steps at
+    once, after the last.
     """
     cell = cell_structure(real.L)
+    n, npt = cell.n, real.L**2
     A = assemble_operator(real)
     B = assemble_load(real)
+    # the history's rows hold the node-major phi, so its map to the stress
+    # holds the rows of B's free displacements at their node-major positions
+    B_nodes = np.zeros((n + 2 * npt, K))
+    B_nodes[:n] = B[:n]
+    B_nodes[n + cell.phi_index] = B[n:]
     a_sums = real.by_type("a").sum(axis=1)
     # row l is ps_map(F_l), bitwise: ps_map maps a 2 x 2 x (N+1) stack entry by entry
     f11, f12, f22 = path.tensors.T
     ps_strains = np.ascontiguousarray(ps_map(np.array([[f11, f12], [f12, f22]])).T)
-    secant = _secant_coefficients(path.tensors)
+    secant = _secant_coefficients(path.tensors).tolist()
     schur_factor: dict = {}
-    state = RveState.zero(real.L)
-    phi_before = state.phi  # the displacements of the step before the last
-    out = [
-        (
-            state,
-            StressRecord(F=path.tensor(0), s=np.zeros(K), fractions=np.zeros(K), energy=0.0),
-        )
-    ]
+    # row l holds the state after step l, its p and then its phi node-major;
+    # row 0 is the zero state
+    history = np.zeros((path.n_steps + 1, n + 2 * npt))
+    p, phi = history[:, :n], history[:, n:]
+    energies = [0.0]
     for l in range(1, path.n_steps + 1):
-        v = ps_strains[l]
-        prob = IncrementProblem(A, B @ v, real.sy, state.p, real.a, real.h, cell, schur_factor)
-        start = RveState(state.p, state.phi + secant[l] * (state.phi - phi_before))
-        phi_before = state.phi
+        f = B @ ps_strains[l]
+        prob = IncrementProblem(A, f, real.sy, p[l - 1], real.a, real.h, cell, schur_factor)
+        last = phi[l - 1]
+        start = cell.free_phi(last + secant[l] * (last - phi[max(l - 2, 0)]))
         try:
             state, report = solve_increment(prob, warm_start=start, settings=settings)
         except SolverError as err:
@@ -190,7 +204,15 @@ def run_path(
             ) from err
         if reports is not None:
             reports.append(report)
-        s = cell.mapped_stress(B, a_sums, cell.pack(state), v)
-        record = StressRecord(path.tensor(l), s, plastic_fraction(state), report.energy)
-        out.append((state, record))
-    return out
+        p[l] = state.p
+        phi[l] = state.phi.reshape(-1)
+        energies.append(report.energy)
+    stresses = cell.mapped_stress(B_nodes, a_sums, history, ps_strains)
+    fractions = np.count_nonzero(p.reshape(-1, K, npt), axis=2) / npt
+    tensors = [SymTensor2(*row) for row in path.tensors.tolist()]
+    return [
+        (RveState(p_l, phi_l), StressRecord(F, s, fr, energy))
+        for p_l, phi_l, F, s, fr, energy in zip(
+            p, phi.reshape(-1, npt, 2), tensors, stresses, fractions, energies
+        )
+    ]

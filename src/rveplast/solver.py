@@ -133,7 +133,7 @@ class SolveReport:
     ``residual`` is the optimality residual of the returned point (of the
     last point reached, if the solve failed).  ``iterations`` counts the
     Newton steps taken: 0 if the warm start already passes the certificate.
-    Only the displacements phi_0 of the warm start are read:
+    For the warm start phi_0 (free displacements),
     ``energies[0]`` is ``increment_energy`` at (p*(phi_0), phi_0), and each
     later entry adds the difference-form energy change of one accepted step,
     so the sequence is nonincreasing and ``energy`` (its last entry) equals
@@ -342,15 +342,16 @@ def optimality_residual(prob: IncrementProblem, y) -> float:
 
 def solve_increment(
     prob: IncrementProblem,
-    warm_start: RveState | None = None,
+    warm_start: np.ndarray | None = None,
     settings: SolverSettings | None = None,
 ) -> tuple[RveState, SolveReport]:
     """Minimize the increment functional until the optimality certificate holds.
 
-    The default start is the zero state.  The start changes the Newton
-    steps taken, not the minimizer: ``run_path`` saves steps by starting at
-    the previous time steps' displacements extrapolated along the strain
-    path.  Only the warm start's displacements are read.  Raises
+    The warm start is the m free displacements in DOF order
+    (``CellStructure.free_phi``); the default start is the zero state.  The
+    start changes the Newton steps taken, not the minimizer: ``run_path``
+    saves steps by starting at the previous time steps' displacements
+    extrapolated along the strain path.  Raises
     SolverError with the diagnostic report if max_outer Newton steps do not
     pass the certificate or a line search finds no descent.
     """
@@ -360,7 +361,7 @@ def solve_increment(
     terms = _increment_terms(prob)
     # an edge with r = 0 is never stuck: its return map is linear in phi
     never_stuck = prob.r == 0.0
-    phi = cell.free_phi(warm_start.phi) if warm_start is not None else np.zeros(cell.m)
+    phi = np.zeros(cell.m) if warm_start is None else warm_start
     y = _point(prob, np.concatenate([_return_map(prob, phi, terms), phi]))
 
     report = SolveReport()

@@ -1,5 +1,7 @@
 """Configuration parsing, experiment runner, CSV round trips."""
 
+import csv
+import io
 import json
 from dataclasses import fields
 from typing import get_type_hints
@@ -12,6 +14,7 @@ from rveplast.cli import (
     TRAJECTORY_COLUMNS,
     RunConfig,
     _study_sizes,
+    _write_csv,
     build_arg_parser,
     main,
     parse_config,
@@ -181,6 +184,30 @@ class TestRun:
         path = tmp_path / "traj.csv"
         write_trajectories(path, ens)
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    def test_csv_bytes_are_csv_writers(self, tmp_path):
+        # one format per line gives csv.writer's bytes for ints, Python and
+        # numpy floats (zeros of both signs, nan, inf, tiny and huge values)
+        # and strings such as the slope file's window
+        rows = [
+            (1, 0, 0.0, -0.0, 1 / 3, np.float64(0.1), np.float64(-2.5e-300), 7),
+            (2, 50, float("nan"), float("inf"), -1e300, np.float64(3), 12345678901234567, -1),
+            ("e_sys", "t_elast", "6 10 14 18", np.float64(-2.870), 0.5, "x", 3, 1e-5),
+        ]
+        columns = [f"c{k}" for k in range(8)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
+        _write_csv(tmp_path / "rows.csv", columns, rows)
+        assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("value", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_csv_rejects_values_that_need_quoting(self, value, tmp_path):
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            _write_csv(tmp_path / "rows.csv", ["quantity", "slope"], [(value, 1.0)])
 
     def test_rerun_is_bitwise_identical_across_threads(self, tmp_path):
         args = ["monotonic", "--L", "4", "--M", "3", "--N", "4"]

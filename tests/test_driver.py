@@ -1,5 +1,7 @@
 """Strain paths, path evolution, stress extraction, plastic fractions."""
 
+from dataclasses import asdict, replace
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 
 import rveplast.driver
 import rveplast.solver
-from rveplast.assembly import RveState, build_increment, cell_structure, increment_energy
+from rveplast.assembly import (
+    RveState,
+    assemble_load,
+    assemble_operator,
+    build_increment,
+    cell_structure,
+    increment_energy,
+)
 from rveplast.driver import (
     PathError,
     StrainPath,
@@ -160,14 +169,15 @@ class TestRunPath:
         # bitwise, the previous step's plastic strains, the same A; the steps
         # of one path share one Schur factor cache.  Each starts at the secant
         # predictor phi_(l-1) + c_l (phi_(l-1) - phi_(l-2)), c_l from the
-        # strains, and c_l = 0 after the repeated strain row (a zero step)
+        # strains, and c_l = 0 after the repeated strain row (a zero step);
+        # run_path hands it over as the free displacements in DOF order
         solve = rveplast.driver.solve_increment
         problems = []
         starts = []
 
         def spy(prob, **kwargs):
             problems.append(prob)
-            starts.append(kwargs["warm_start"].phi)
+            starts.append(kwargs["warm_start"])
             return solve(prob, **kwargs)
 
         monkeypatch.setattr(rveplast.driver, "solve_increment", spy)
@@ -185,7 +195,8 @@ class TestRunPath:
             assert (prob.A != expected.A).nnz == 0
             assert prob.schur_factor is problems[0].schur_factor
         assert problems[0].schur_factor  # holds the path's last factor
-        phis = [np.zeros_like(starts[0])] + [state.phi for state, _ in records]
+        cell = cell_structure(real.L)
+        phis = [np.zeros_like(starts[0])] + [cell.free_phi(state.phi) for state, _ in records]
         steps = np.diff(path.tensors, axis=0)
         assert np.all(starts[0] == 0.0)
         for l in range(2, path.n_steps + 1):
@@ -196,6 +207,56 @@ class TestRunPath:
             if l == 3:  # the step after the zero step starts at phi_2 itself
                 assert c == 0.0 and np.array_equal(starts[l - 1], phis[l])
         assert c < 0.0  # the last step reverses the load
+
+    @pytest.mark.parametrize("L, make_path", [(6, cyclic_path), (16, monotonic_path)])
+    def test_history_matches_solve_loop(self, L, make_path):
+        # one solve_increment per step from the secant predictor, with the
+        # path's Schur factor cache: the same states, energies, fractions and
+        # reports bitwise, and the stresses of per-step mapped_stress up to
+        # round-off.  L=6 factors every flowing set, L=16 solves most by CG
+        real = sample(LAW, 20240, 1, L)
+        path = make_path()
+        reports = []
+        records = run_path(real, path, reports=reports)
+        cell = cell_structure(L)
+        B = assemble_load(real)
+        a_sums = real.by_type("a").sum(axis=1)
+        A = assemble_operator(real)
+        cache = {}
+        state = before = RveState.zero(L)
+        assert np.all(records[0][1].s == 0.0) and np.all(records[0][1].fractions == 0.0)
+        for l in range(1, path.n_steps + 1):
+            step = path.tensors[l] - path.tensors[l - 1]
+            last = path.tensors[l - 1] - path.tensors[l - 2]
+            c = float(step @ last / (last @ last)) if l >= 2 and last @ last > 0.0 else 0.0
+            start = cell.free_phi(state.phi + c * (state.phi - before.phi))
+            prob = build_increment(real, path.tensor(l), p_prev=state.p, A=A)
+            prob = replace(prob, schur_factor=cache)
+            before = state
+            state, report = solve_increment(prob, warm_start=start)
+            got, rec = records[l]
+            assert np.array_equal(got.p, state.p) and np.array_equal(got.phi, state.phi)
+            assert rec.energy == report.energy
+            assert np.array_equal(rec.fractions, plastic_fraction(state))
+            assert asdict(reports[l - 1]) == asdict(report)
+            s_ref = cell.mapped_stress(B, a_sums, cell.pack(state), ps_map(path.tensor(l)))
+            assert np.abs(rec.s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
+        if L == 16:
+            assert sum(rep.pcg_solves for rep in reports) > 0
+
+    def test_records_do_not_alias(self):
+        # each state owns its rows of its path's history: no two states share
+        # memory, and a later path on the same cell size changes no record
+        path = cyclic_path(n_steps=12)
+        records = run_path(sample(LAW, 20240, 1, 6), path)
+        kept = [(s.p.copy(), s.phi.copy(), r.s.copy(), r.fractions.copy()) for s, r in records]
+        for (a, ra), (b, rb) in zip(records, records[1:]):
+            assert not np.shares_memory(a.p, b.p) and not np.shares_memory(a.phi, b.phi)
+            assert not np.shares_memory(a.p, a.phi) and not np.shares_memory(ra.s, rb.s)
+        run_path(sample(LAW, 20240, 2, 6), path)
+        for (state, rec), (p, phi, s, fractions) in zip(records, kept):
+            assert np.array_equal(state.p, p) and np.array_equal(state.phi, phi)
+            assert np.array_equal(rec.s, s) and np.array_equal(rec.fractions, fractions)
 
     @pytest.mark.parametrize("L", [4, 16])
     @pytest.mark.parametrize(
@@ -227,7 +288,8 @@ class TestRunPath:
         steps = 0
         for l in range(1, path.n_steps + 1):
             prob = build_increment(real, path.tensor(l), p_prev=state.p)
-            state, report = solve_increment(prob, warm_start=state)
+            warm = prob.cell.free_phi(state.phi)
+            state, report = solve_increment(prob, warm_start=warm)
             steps += report.iterations
             s, s_ref = records[l][1].s, stress_vector(real, state, path.tensor(l))
             assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()

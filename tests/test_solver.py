@@ -107,11 +107,11 @@ class TestNewtonCorrection:
         assert np.abs(phi - phi_exact).max() <= 1e-12 * np.abs(phi_exact).max()
 
     def test_energy_never_increases(self):
-        # far warm starts; only their phi is read.  Under the default law no
-        # full step of these solves raises the energy, since a flowing edge's
-        # Newton curvature a h/(a + h) stays within a factor 2.6 of the stuck
-        # one, a; under soft hardening each of them has a full step that does,
-        # and the line search halves it
+        # far warm starts.  Under the default law no full step of these solves
+        # raises the energy, since a flowing edge's Newton curvature
+        # a h/(a + h) stays within a factor 2.6 of the stuck one, a; under
+        # soft hardening each of them has a full step that does, and the line
+        # search halves it
         for law in (LAW, SOFT):
             rng = np.random.default_rng(4)
             for seed in range(5):
@@ -120,9 +120,8 @@ class TestNewtonCorrection:
                 draws = rng.normal(scale=1e-2, size=prob.cell.total)
                 phi = np.zeros(prob.cell.free.shape)
                 phi[prob.cell.free] = draws[prob.cell.n :]
-                warm = RveState(draws[: prob.cell.n], phi)
-                _, report = solve_increment(prob, warm_start=warm)
-                phi0 = prob.cell.pack(warm)[prob.cell.n :]
+                phi0 = prob.cell.free_phi(phi)
+                _, report = solve_increment(prob, warm_start=phi0)
                 start = np.concatenate([_return_map(prob, phi0, _increment_terms(prob)), phi0])
                 assert report.energies[0] == increment_energy(prob, start)
                 assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
@@ -147,7 +146,7 @@ class TestNewtonCorrection:
         halvings = 0
         for seed in range(5):
             prob = random_problem(3, seed=40 + seed, law=SOFT)
-            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+            warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
             trials.clear()
             state, report = solve_increment(prob, warm_start=warm)
             assert len(trials) == report.iterations + report.halvings
@@ -177,7 +176,7 @@ class TestNewtonCorrection:
         rng = np.random.default_rng(4)
         for seed in range(5):
             prob = random_problem(3, seed=40 + seed, law=law)
-            warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+            warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
             changes.clear()
             state, report = solve_increment(prob, warm_start=warm)
             assert report.iterations > 0 and changes[-2] > 0.0 >= changes[-1]
@@ -189,8 +188,8 @@ class TestNewtonCorrection:
         # repeated flowing set must reuse it, a changed one must not
         prob = random_problem(4, seed=60, scale=1e-3, p_prev_scale=2e-4)
         rng = np.random.default_rng(6)
-        warm1 = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
-        warm2 = prob.cell.unpack(rng.normal(scale=1e-5, size=prob.cell.total))
+        warm1 = rng.normal(scale=1e-3, size=prob.cell.total)[prob.cell.n :]
+        warm2 = rng.normal(scale=1e-5, size=prob.cell.total)[prob.cell.n :]
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
             expected, rep_fresh = solve_increment(fresh, warm_start=warm)
@@ -219,7 +218,8 @@ class TestNewtonCorrection:
         gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
         target = gate / 10  # of each linear solve, max|S d_phi - rhs|
         n = prob.cell.n
-        warm1, warm2 = records[-1][0], records[-2][0]
+        warm1 = prob.cell.free_phi(records[-1][0].phi)
+        warm2 = prob.cell.free_phi(records[-2][0].phi)
         pcg_solves = cg_states_moved = 0
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
@@ -386,7 +386,8 @@ class TestPreconditionedSolve:
         S = dense_schur(prob, np.ones(prob.cell.n, dtype=bool))
         assert rveplast.solver._pcg(S.dot, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
         prob.schur_factor["last"] = (b"another flowing set", solve)
-        result, report = solve_increment(prob, warm_start=state)
+        warm = prob.cell.free_phi(state.phi)
+        result, report = solve_increment(prob, warm_start=warm)
         assert report.converged and report.factors >= 1 and report.pcg_solves >= 1
         # the kept solve is a partial of the cell's solve and its new band factor
         kept = prob.schur_factor["last"][1]
@@ -395,7 +396,7 @@ class TestPreconditionedSolve:
         gate = SolverSettings().tol_residual * (1 + report.load_norm)
         assert optimality_residual(prob, result) <= gate
         assert all(b <= a for a, b in zip(report.energies, report.energies[1:]))
-        expected, _ = solve_increment(replace(prob, schur_factor={}), warm_start=state)
+        expected, _ = solve_increment(replace(prob, schur_factor={}), warm_start=warm)
         assert np.abs(result.phi - expected.phi).max() <= 1e-10 * np.abs(expected.phi).max()
 
 
@@ -438,12 +439,11 @@ class TestSolveIncrement:
         assert optimality_residual(prob, state) == report.residual
 
     def test_warm_start_invariance(self):
-        # only the warm start's phi is read, so vary phi
         prob = random_problem(4, seed=82)
         rng = np.random.default_rng(5)
         state_cold, rep_cold = solve_increment(prob)
-        warm = prob.cell.unpack(rng.normal(scale=1e-3, size=prob.cell.total))
-        assert np.abs(warm.phi).max() > 0.0
+        warm = rng.normal(scale=1e-3, size=prob.cell.total)[prob.cell.n :]
+        assert np.abs(warm).max() > 0.0
         state_warm, rep_warm = solve_increment(prob, warm_start=warm)
         assert rep_warm.energies[0] > rep_cold.energies[0]  # a different start
         assert abs(rep_cold.energy - rep_warm.energy) <= 2 * 1e-12 * (1 + abs(rep_cold.energy))
@@ -457,14 +457,14 @@ class TestSolveIncrement:
         prob = random_problem(3, seed=83, p_prev_scale=1e-4)
         warm = RveState.zero(3)
         warm.p[:] = 1e-3
-        state, report = solve_increment(prob, warm_start=warm)
+        state, report = solve_increment(prob, warm_start=prob.cell.free_phi(warm.phi))
         assert report.energy <= increment_energy(prob, warm)
 
     def test_nonconvergence_raises_with_report(self):
         # a far warm start that needs more than one Newton step
         prob = random_problem(4, seed=84)
         rng = np.random.default_rng(84)
-        warm = prob.cell.unpack(rng.normal(scale=1e-2, size=prob.cell.total))
+        warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
         _, report = solve_increment(prob, warm_start=warm)
         assert report.iterations >= 2
         with pytest.raises(SolverError) as excinfo:
@@ -529,7 +529,7 @@ class TestSolveProperties:
         rng = np.random.default_rng(seed)
         p_prev = rng.normal(scale=p_prev_scale, size=3 * L**2)
         prob = build_increment(real, SymTensor2(*F), p_prev=p_prev)
-        warm = prob.cell.unpack(rng.normal(scale=phi_scale, size=prob.cell.total))
+        warm = rng.normal(scale=phi_scale, size=prob.cell.total)[prob.cell.n :]
         state, report = solve_increment(prob, warm_start=warm)
         gate = SolverSettings().tol_residual * (1.0 + report.load_norm)
         assert report.converged
