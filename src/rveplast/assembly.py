@@ -283,9 +283,11 @@ class IncrementProblem:
     solver's return map and Schur complement read them.  ``schur_factor``
     holds the solve with the solver's last band factor of a Schur complement
     (``CellStructure.factor_schur``), paired with the flowing set it
-    eliminated ("last").  The increments of one path share it: the factor
-    solves directly while the flowing set repeats and preconditions CG on
-    other flowing sets; it is never shared between threads.
+    eliminated ("last"), and the solver's terms of a, h and r ("edges").
+    The increments of one path share it: the factor solves directly while
+    the flowing set repeats and preconditions CG on other flowing sets, and
+    the terms are formed once; it is never shared between threads.  A
+    problem made by ``build_increment`` starts with an empty one.
     """
 
     A: sp.csr_matrix = field(repr=False)

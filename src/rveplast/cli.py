@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -166,8 +167,7 @@ def _config_keys() -> set[str]:
 
 def parse_config(argv=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus overriding flags."""
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
 
     values: dict = {"experiment": args.experiment}
     values.update(_PRESETS[args.experiment])
@@ -229,6 +229,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help=_FLAG_HELP.get(name),
         )
     return parser
+
+
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser ``parse_config`` reads flags with, built once per process."""
+    return build_arg_parser()
 
 
 def _write_csv(path: Path, columns, rows) -> None:

@@ -31,17 +31,20 @@ factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
-itself, never as the difference of two energy values: near the minimizer
-the decrease of a step can lie far below the round-off of the energy's
-separate terms, and comparing two evaluated energies then rejects every
-step and stalls the solver.  The recorded energy sequence starts at the
+and the gradients at its two ends, never as the difference of two energy
+values: near the minimizer the decrease of a step can lie far below the
+round-off of the energy's separate terms, and comparing two evaluated
+energies then rejects every step and stalls the solver.  The smooth part
+of J is quadratic, so from y to z it changes by exactly
+1/2 (z - y).(g_y + g_z) with g = A y - f, the trapezoid rule; the
+dissipation changes edge by edge.  The recorded energy sequence starts at the
 energy of (p*(phi_0), phi_0) and adds each accepted change, so it is
 nonincreasing by construction.
 
 The solve has one exit: a point whose optimality residual of the full
 problem is within tol_residual (1 + max|f|).  The residual is read from
-g = A y - f, which the Newton step at the same point needs anyway, so each
-step costs no extra product.  On one side pattern (which edges are stuck,
+g = A y - f, which the energy changes from and to the point and the Newton
+step at it need anyway.  On one side pattern (which edges are stuck,
 and on which side of p_prev each flowing edge lies) p*(phi) is affine in
 phi and E is quadratic with the Hessian S(k) of the step, so a full step
 that keeps the pattern lands on the minimizer and the next certificate
@@ -64,13 +67,17 @@ descent direction, so the line search takes an early step like any other.
 
 Each point the solve reaches, the warm start and every trial point of the
 line search, is evaluated once (``_Point``): its return map, then
-p - p_prev and its sign, which its certificate, its flowing set and the
-energy changes from and to it share.  The terms of the return map that
-depend on the increment alone, a + h, (a + h) p_prev - f_p and -r, are
-formed once per increment, and k only on a Newton step whose flowing set
-is not the one factored last.  The certificate still forms A y afresh at
-each accepted point instead of carrying g forward by the A delta of the
-step's energy change: the update would add each step's round-off to the
+g = A y - f, its one product with A, and p - p_prev and its sign, which
+its certificate, its flowing set, its Newton right-hand side and the
+energy changes from and to it share.  A solve thus forms
+1 + (Newton steps) + (halvings) products with A.  The terms of the return
+map and of k that depend on the edge values alone, a + h, -r,
+a h / (a + h) and the edges with r = 0, are formed once per path and kept
+with its Schur factor; (a + h) p_prev - f_p is formed once per increment,
+and k only on a Newton step whose flowing set is not the one factored
+last.  The certificate reads g of the point it certifies, formed afresh
+from A y there, not carried forward from point to point by adding the A
+delta of each step: such an update would add each step's round-off to the
 residual that decides the exit, and the certificate would check the steps
 taken rather than the point returned.
 """
@@ -82,6 +89,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .assembly import IncrementProblem, RveState, increment_energy
 
@@ -163,30 +171,51 @@ class SolverError(RuntimeError):
 
 
 class _Point(NamedTuple):
-    """A point y = [p; phi] of the solve (``vec``), with dp = p - p_prev and side = sign(dp).
+    """A point of the solve: y = [p; phi] (``vec``), g = A y - f, dp = p - p_prev, side = sign(dp).
 
-    The certificate at the point, its flowing set (side != 0) and the
-    energy changes from and to it all read dp and side, so ``_point``
-    forms them once per point.
+    The certificate at the point, its flowing set (side != 0), its Newton
+    right-hand side and the energy changes from and to it all read g, dp
+    and side, so ``_point`` forms them once per point.
     """
 
     vec: np.ndarray
+    g: np.ndarray
     dp: np.ndarray
     side: np.ndarray
 
 
-def _point(prob: IncrementProblem, vec: np.ndarray) -> _Point:
+def _point(prob: IncrementProblem, vec: np.ndarray, Avec: np.ndarray | None = None) -> _Point:
+    """The point ``vec``; a caller that has already formed A vec passes it as ``Avec``."""
+    if Avec is None:
+        Avec = prob.A @ vec
     dp = vec[: prob.cell.n] - prob.p_prev
-    return _Point(vec, dp, np.sign(dp))
+    return _Point(vec, Avec - prob.f, dp, np.sign(dp))
 
 
-_Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
+class _Terms(NamedTuple):
+    """The parts of the return map and of k: t is the increment's, the others the edge values'."""
+
+    d: np.ndarray  # a + h
+    t: np.ndarray  # d p_prev - f_p
+    neg_r: np.ndarray  # -r
+    series: np.ndarray  # a h / (a + h): k of a flowing edge, its springs in series
+    never_stuck: np.ndarray  # r == 0: the return map of such an edge is linear in phi
 
 
 def _increment_terms(prob: IncrementProblem) -> _Terms:
-    """d = a + h, t = d p_prev - f_p and -r: the parts of the return map fixed by the increment."""
-    d = prob.a + prob.h
-    return d, d * prob.p_prev - prob.f[: prob.cell.n], -prob.r
+    """The terms of the increment; those of the edge values a, h and r are formed once per path.
+
+    The increments of a path share ``prob.schur_factor``, which keeps the
+    edge terms together with the arrays they were formed from ("edges"); a
+    problem with other a, h or r arrays forms and keeps its own.
+    """
+    a, h, r = prob.a, prob.h, prob.r
+    kept = prob.schur_factor.get("edges")
+    if kept is None or kept[0] is not a or kept[1] is not h or kept[2] is not r:
+        d = a + h
+        kept = prob.schur_factor["edges"] = (a, h, r, d, -r, a * h / d, r == 0.0)
+    d, neg_r, series, never_stuck = kept[3:]
+    return _Terms(d, d * prob.p_prev - prob.f[: prob.cell.n], neg_r, series, never_stuck)
 
 
 def _return_map(prob: IncrementProblem, phi: np.ndarray, terms: _Terms) -> np.ndarray:
@@ -199,24 +228,24 @@ def _return_map(prob: IncrementProblem, phi: np.ndarray, terms: _Terms) -> np.nd
     p_prev_e itself; a flowing one returns p_prev_e + (r_e sign(g_e) - g_e) / d_e.
     ``terms`` is ``_increment_terms(prob)``, formed once per increment.
     """
-    d, t, neg_r = terms
-    g = t - prob.a * (prob.cell.G @ phi)
+    g = terms.t - prob.a * (prob.cell.G @ phi)
     # the clip as np.minimum(np.maximum(...)): np.clip took 1.7 against 0.7 us on 108 edges (L=6)
-    return prob.p_prev + (np.minimum(np.maximum(g, neg_r), prob.r) - g) / d
+    return prob.p_prev + (np.minimum(np.maximum(g, terms.neg_r), prob.r) - g) / terms.d
 
 
-def _energy_change(prob: IncrementProblem, y: _Point, z: _Point, g: np.ndarray) -> float:
+def _energy_change(prob: IncrementProblem, y: _Point, z: _Point) -> float:
     """Cell-averaged increment_energy(z) - increment_energy(y), without cancellation.
 
-    With delta = z - y and g = A y - f, the smooth part changes by exactly
-    g.delta + 1/2 delta.A delta.  An edge whose plastic strain stays on one
+    The smooth part is quadratic, so with delta = z - y it changes by
+    exactly 1/2 delta.(g_y + g_z), the trapezoid rule on the gradients
+    g = A y - f of the two points.  An edge whose plastic strain stays on one
     side of p_prev changes its dissipation by sign(y_e - p_prev_e) delta_e;
     only edges that cross or leave the kink take the difference of the
     absolute values.
     """
     n = prob.cell.n
     delta = z.vec - y.vec
-    smooth = g @ delta + 0.5 * delta @ (prob.A @ delta)
+    smooth = 0.5 * (delta @ y.g + delta @ z.g)
     rough = np.where(y.side == z.side, y.side * delta[:n], np.abs(z.dp) - np.abs(y.dp))
     return prob.scale * (smooth + prob.r @ rough)
 
@@ -227,7 +256,9 @@ def _pcg(
     """Conjugate gradients on S x = b until max|b - S x| <= target.
 
     ``apply_S`` maps d to S d, and ``precondition`` r to an approximation
-    of S^-1 r.  Returns x and the iterations taken, or None for x if the
+    of S^-1 r in a new array, which becomes the next search direction in
+    place; x, r and the direction are updated in place by BLAS ``daxpy``.
+    Returns x and the iterations taken, or None for x if the
     cap is reached or the iteration breaks down (d.S d <= 0 or a non-finite
     value).  If
     ``changes_pattern`` is given, it is called once, on the first iterate x
@@ -252,14 +283,14 @@ def _pcg(
         # the preconditioner runs only past the exits: k iterations make k solves with it
         z = precondition(r)
         rz, rz_old = r @ z, rz
-        d = z if d is None else z + (rz / rz_old) * d
+        d = z if d is None else daxpy(d, z, a=rz / rz_old)
         q = apply_S(d)
         dq = d @ q
         if not (0.0 < dq < np.inf and np.isfinite(rz)):
             break
         alpha = rz / dq
-        x += alpha * d
-        r -= alpha * q
+        daxpy(d, x, a=alpha)
+        daxpy(q, r, a=-alpha)
     return None, iteration
 
 
@@ -290,8 +321,7 @@ def _newton_direction(
     last_key, last_solve = cache.get("last", (None, None))
     if last_key == key:
         return last_solve(rhs)
-    # a flowing edge puts its springs in series, a h / (a + h) with terms[0] = a + h
-    k = np.where(flowing, prob.a * prob.h / terms[0], prob.a)
+    k = np.where(flowing, terms.series, prob.a)
     if last_solve is not None and rhs.size >= _PCG_MIN_DOFS:
 
         def changes_pattern(d_phi: np.ndarray) -> bool:
@@ -318,15 +348,15 @@ def _newton_direction(
     return solve(rhs)
 
 
-def _certificate(prob: IncrementProblem, y: _Point, g: np.ndarray) -> float:
-    """``optimality_residual`` at the point y, given g = A y - f.
+def _certificate(prob: IncrementProblem, y: _Point) -> float:
+    """``optimality_residual`` at the point y, read from its g = A y - f.
 
     A plastic DOF at the kink (side 0) reads |g_i| - r_i, one off it
     |g_i + r_i side_i|; the maximum with 0 clips the first at 0.
     """
     n = prob.cell.n
-    viol_p = np.abs(g[:n] + prob.r * y.side) - prob.r * (y.side == 0.0)
-    return float(max(viol_p.max(initial=0.0), np.abs(g[n:]).max(initial=0.0)))
+    viol_p = np.abs(y.g[:n] + prob.r * y.side) - prob.r * (y.side == 0.0)
+    return float(max(viol_p.max(initial=0.0), np.abs(y.g[n:]).max(initial=0.0)))
 
 
 def optimality_residual(prob: IncrementProblem, y) -> float:
@@ -336,8 +366,7 @@ def optimality_residual(prob: IncrementProblem, y) -> float:
     excess of |(A y - f)_i| over the dissipation weight.  Plastic DOFs
     off the kink: |(A y - f)_i + r_i sign(p_i - p_prev_i)|.
     """
-    yv = prob.as_vector(y)
-    return _certificate(prob, _point(prob, yv), prob.A @ yv - prob.f)
+    return _certificate(prob, _point(prob, prob.as_vector(y)))
 
 
 def solve_increment(
@@ -359,20 +388,18 @@ def solve_increment(
     cell = prob.cell
     n = cell.n
     terms = _increment_terms(prob)
-    # an edge with r = 0 is never stuck: its return map is linear in phi
-    never_stuck = prob.r == 0.0
     phi = np.zeros(cell.m) if warm_start is None else warm_start
-    y = _point(prob, np.concatenate([_return_map(prob, phi, terms), phi]))
+    start = np.concatenate([_return_map(prob, phi, terms), phi])
+    Ay = prob.A @ start  # serves the first energy and the first point
+    y = _point(prob, start, Ay)
 
     report = SolveReport()
     report.load_norm = float(np.abs(prob.f).max(initial=0.0))
     residual_gate = settings.tol_residual * (1.0 + report.load_norm)
-    Ay = prob.A @ y.vec  # serves the first energy and the first certificate
-    report.energies.append(increment_energy(prob, y.vec, Ay))
+    report.energies.append(increment_energy(prob, start, Ay))
     failure = None
     while True:
-        g = Ay - prob.f
-        report.residual = _certificate(prob, y, g)
+        report.residual = _certificate(prob, y)
         if report.residual <= residual_gate:
             break
         if report.iterations == settings.max_outer:
@@ -381,13 +408,13 @@ def solve_increment(
         report.iterations += 1
         d_phi = np.zeros(cell.m)
         if cell.m:
-            flowing = never_stuck | (y.side != 0.0)
-            d_phi = _newton_direction(prob, terms, y, flowing, -g[n:], residual_gate / 10, report)
+            flowing = terms.never_stuck | (y.side != 0.0)
+            d_phi = _newton_direction(prob, terms, y, flowing, -y.g[n:], residual_gate / 10, report)
 
         for step in _STEPS:
             phi = y.vec[n:] + step * d_phi
             z = _point(prob, np.concatenate([_return_map(prob, phi, terms), phi]))
-            change = _energy_change(prob, y, z, g)
+            change = _energy_change(prob, y, z)
             if change <= 0.0:
                 y = z
                 report.energies.append(report.energies[-1] + change)
@@ -396,7 +423,6 @@ def solve_increment(
         else:
             failure = f"found no descent at Newton step {report.iterations}"
             break
-        Ay = prob.A @ y.vec
 
     report.energy = report.energies[-1]
     report.flowing = int(np.count_nonzero(y.side))

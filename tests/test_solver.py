@@ -197,6 +197,19 @@ class TestNewtonCorrection:
             assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
             assert report.energies == rep_fresh.energies
 
+    def test_replaced_weights_form_their_own_terms(self):
+        # a problem made with dataclasses.replace shares the cache of the
+        # one it was made from; with other dissipation weights it forms its
+        # own return-map terms and solves as with a cache of its own
+        prob = random_problem(4, seed=61, p_prev_scale=2e-4)
+        solve_increment(prob)
+        for r in (np.zeros_like(prob.r), 2.0 * prob.r, prob.r):
+            other = with_weights(prob, r)
+            expected, rep_fresh = solve_increment(replace(other, schur_factor={}))
+            state, report = solve_increment(other)
+            assert np.array_equal(state.p, expected.p) and np.array_equal(state.phi, expected.phi)
+            assert report.energies == rep_fresh.energies
+
     def test_reused_factor_preconditions_above_threshold(self, monkeypatch):
         # above the size threshold a kept factor of another flowing set
         # preconditions CG instead of being replaced: the same Newton steps
@@ -244,6 +257,95 @@ class TestNewtonCorrection:
         assert cg_states_moved > 0
         cap = rveplast.solver._PCG_MAX_ITER
         assert all(x is not None and iterations <= cap // 2 for x, iterations in returns)
+
+
+class CountingOperator:
+    """A stand-in for ``prob.A`` that counts its products."""
+
+    def __init__(self, A):
+        self.A = A
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+def energy_change_bound(prob, y, z):
+    """The round-off scale of an energy change: L^-2 max|f| |z - y|_1."""
+    return prob.scale * np.abs(prob.f).max() * np.abs(z.vec - y.vec).sum()
+
+
+class TestEnergyChange:
+    @pytest.mark.parametrize("law", [LAW, SOFT], ids=["law", "soft"])
+    def test_matches_difference_of_energies(self, law):
+        # random pairs of points, both ways: y on the return map, so with
+        # stuck edges (at p_prev) and flowing ones, and z with each edge's
+        # plastic strain kept on y's side, put on the kink, mirrored across
+        # it or drawn anew
+        point = rveplast.solver._point
+        rng = np.random.default_rng(9)
+        kinds = np.zeros(4, dtype=int)  # stuck in y, kept side, crossed, left for the kink
+        for seed in range(10):
+            prob = random_problem(3, seed=90 + seed, p_prev_scale=2e-4, law=law)
+            n, m = prob.cell.n, prob.cell.m
+            phi = rng.normal(scale=1e-3, size=m)
+            y = point(prob, np.concatenate([_return_map(prob, phi, _increment_terms(prob)), phi]))
+            moves = np.stack([y.dp, np.zeros(n), -y.dp, rng.normal(scale=3e-4, size=n)])
+            dp = moves[rng.integers(len(moves), size=n), np.arange(n)]
+            phi_z = phi + rng.normal(scale=1e-3, size=m)
+            z = point(prob, np.concatenate([prob.p_prev + dp, phi_z]))
+            kinds += [
+                np.sum(y.side == 0.0),
+                np.sum((y.side != 0.0) & (y.side == z.side)),
+                np.sum(y.side * z.side < 0.0),
+                np.sum((y.side != 0.0) & (z.side == 0.0)),
+            ]
+            for start, end in ((y, z), (z, y)):
+                change = rveplast.solver._energy_change(prob, start, end)
+                expected = increment_energy(prob, end.vec) - increment_energy(prob, start.vec)
+                assert abs(change - expected) <= 1e-13 * energy_change_bound(prob, start, end)
+        assert np.all(kinds > 0)
+
+    @pytest.mark.parametrize("law", [LAW, SOFT], ids=["law", "soft"])
+    def test_trial_steps_match_difference_of_energies(self, monkeypatch, law):
+        # every trial point of far-started solves, the rejected ones too:
+        # under soft hardening some full Newton steps raise the energy
+        energy_change = rveplast.solver._energy_change
+        trials = []
+
+        def spy(prob, y, z):
+            trials.append((prob, y, z, energy_change(prob, y, z)))
+            return trials[-1][-1]
+
+        monkeypatch.setattr(rveplast.solver, "_energy_change", spy)
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            prob = random_problem(3, seed=40 + seed, law=law)
+            warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
+            solve_increment(prob, warm_start=warm)
+        for prob, y, z, change in trials:
+            expected = increment_energy(prob, z.vec) - increment_energy(prob, y.vec)
+            assert abs(change - expected) <= 1e-13 * energy_change_bound(prob, y, z)
+        assert any(change > 0.0 for *_, change in trials) == (law is SOFT)
+
+    @pytest.mark.parametrize("law", [LAW, SOFT], ids=["law", "soft"])
+    def test_one_product_with_A_per_point(self, law):
+        # the warm start and each trial point form A y once; that product
+        # serves the point's energy change, its certificate and its Newton
+        # right-hand side
+        rng = np.random.default_rng(4)
+        halvings = 0
+        for seed in range(5):
+            prob = random_problem(3, seed=40 + seed, law=law)
+            warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
+            counting = CountingOperator(prob.A)
+            state, report = solve_increment(replace(prob, A=counting), warm_start=warm)
+            assert report.iterations > 1
+            assert counting.products == 1 + report.iterations + report.halvings
+            assert report.residual == optimality_residual(prob, state)
+            halvings += report.halvings
+        assert (halvings > 0) == (law is SOFT)
 
 
 def increment_on_path(L, step=25, seed=20240):
