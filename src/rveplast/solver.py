@@ -16,18 +16,19 @@ S(k) is never assembled as a sparse matrix.  It is either factored, a
 band Cholesky factor (LAPACK's ``dpbtrf``) filled from k, since the cell
 numbers its displacements in a folded order that keeps S within a band of
 half-width at most 4L + 5 (``CellStructure.factor_schur``), or applied by
-CG as G.T (k G x), two products with the cell's G.  The increments of a path
-hold one factor of S, that of the last flowing set factored, and solve
-directly with it while the flowing set repeats.  On a small cell (L < 16)
-every new flowing set is factored.  On a large cell the factor of the last
-set preconditions conjugate gradients on the new S instead: x.S(k)x =
-sum_e k_e (G x)_e^2, and k_e/a_e is 1 or h_e/(a_e + h_e), so the factor of
-any earlier S is a preconditioner of condition number at most
-max (a + h)/h when one flowing set contains the other (its square in
-general).  CG then needs about ten iterations, where a new factor costs the
-time of 7 to 27 (L = 16 to 42).  Only when CG reaches its iteration cap or
-breaks down, and on the first step of a path, is the new S of a large cell
-factored; its factor replaces the old.
+CG as G.T (k G x), a product with the cell's G and one with its stored
+transpose, made like every product of a solve by ``assembly.csr_apply``.
+The increments of a path hold one factor of S, that of the last flowing
+set factored, and solve directly with it while the flowing set repeats.
+On a small cell (L < 16) every new flowing set is factored.  On a large
+cell the factor of the last set preconditions conjugate gradients on the
+new S instead: x.S(k)x = sum_e k_e (G x)_e^2, and k_e/a_e is 1 or
+h_e/(a_e + h_e), so the factor of any earlier S is a preconditioner of
+condition number at most max (a + h)/h when one flowing set contains the
+other (its square in general).  CG then needs about ten iterations, where
+a new factor costs the time of 7 to 27 (L = 16 to 42).  Only when CG
+reaches its iteration cap or breaks down, and on the first step of a path,
+is the new S of a large cell factored; its factor replaces the old.
 
 A step is accepted only if the energy change from the current point is not
 positive.  The change is evaluated in difference form, from the step
@@ -91,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .assembly import IncrementProblem, RveState, increment_energy
+from .assembly import IncrementProblem, RveState, csr_apply, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
@@ -187,7 +188,7 @@ class _Point(NamedTuple):
 def _point(prob: IncrementProblem, vec: np.ndarray, Avec: np.ndarray | None = None) -> _Point:
     """The point ``vec``; a caller that has already formed A vec passes it as ``Avec``."""
     if Avec is None:
-        Avec = prob.A @ vec
+        Avec = csr_apply(prob.A, vec)
     dp = vec[: prob.cell.n] - prob.p_prev
     return _Point(vec, Avec - prob.f, dp, np.sign(dp))
 
@@ -228,7 +229,7 @@ def _return_map(prob: IncrementProblem, phi: np.ndarray, terms: _Terms) -> np.nd
     p_prev_e itself; a flowing one returns p_prev_e + (r_e sign(g_e) - g_e) / d_e.
     ``terms`` is ``_increment_terms(prob)``, formed once per increment.
     """
-    g = terms.t - prob.a * (prob.cell.G @ phi)
+    g = terms.t - prob.a * csr_apply(prob.cell.G, phi)
     # the clip as np.minimum(np.maximum(...)): np.clip took 1.7 against 0.7 us on 108 edges (L=6)
     return prob.p_prev + (np.minimum(np.maximum(g, terms.neg_r), prob.r) - g) / terms.d
 
@@ -331,7 +332,7 @@ def _newton_direction(
             return changed
 
         d_phi, iterations = _pcg(
-            lambda d: cell.G_t @ (k * (cell.G @ d)), last_solve, rhs, target, changes_pattern
+            lambda d: csr_apply(cell.G_t, k * csr_apply(cell.G, d)), last_solve, rhs, target, changes_pattern
         )
         report.pcg_solves += 1
         report.pcg_iterations += iterations
@@ -380,17 +381,20 @@ def solve_increment(
     (``CellStructure.free_phi``); the default start is the zero state.  The
     start changes the Newton steps taken, not the minimizer: ``run_path``
     saves steps by starting at the previous time steps' displacements
-    extrapolated along the strain path.  Raises
-    SolverError with the diagnostic report if max_outer Newton steps do not
-    pass the certificate or a line search finds no descent.
+    extrapolated along the strain path.  Raises ValueError if the warm
+    start does not hold m values, and SolverError with the diagnostic
+    report if max_outer Newton steps do not pass the certificate or a line
+    search finds no descent.
     """
     settings = settings or _DEFAULT_SETTINGS
     cell = prob.cell
     n = cell.n
     terms = _increment_terms(prob)
-    phi = np.zeros(cell.m) if warm_start is None else warm_start
+    phi = np.zeros(cell.m) if warm_start is None else np.asarray(warm_start, dtype=float)
+    if phi.shape != (cell.m,):
+        raise ValueError(f"the warm start needs the m = {cell.m} free displacements, got shape {phi.shape}")
     start = np.concatenate([_return_map(prob, phi, terms), phi])
-    Ay = prob.A @ start  # serves the first energy and the first point
+    Ay = csr_apply(prob.A, start)  # serves the first energy and the first point
     y = _point(prob, start, Ay)
 
     report = SolveReport()

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import rveplast.assembly
 from rveplast.assembly import (
     CellStructure,
     RveState,
@@ -14,6 +15,7 @@ from rveplast.assembly import (
     assemble_operator,
     build_increment,
     cell_structure,
+    csr_apply,
     increment_energy,
 )
 from rveplast.driver import stress_vector
@@ -302,6 +304,49 @@ class TestCellStructure:
             first.G.data[0] = 0.0
 
 
+class TestCsrApply:
+    """``csr_apply`` against ``M @ x`` on the matrices a solve multiplies with."""
+
+    @staticmethod
+    def matrices(L):
+        cell = cell_structure(L)
+        A = assemble_operator(sample(LAW, 20240, 1, L))
+        return {"G": cell.G, "G_t": cell.G_t, "schur_map": cell.schur_map, "A_map": cell.A_map, "A": A}
+
+    @pytest.mark.parametrize("L", [2, 3, 6, 18])
+    def test_bitwise_matmul(self, L):
+        # at L=2 every displacement is clamped: G is n x 0 and G_t 0 x n
+        assert (cell_structure(L).m == 0) == (L == 2)
+        rng = np.random.default_rng(L)
+        for M in self.matrices(L).values():
+            x = rng.normal(size=2 * M.shape[1])
+            for v in (x[: M.shape[1]], x[::2]):  # contiguous and strided
+                got, expected = csr_apply(M, v), M @ v
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", ["short", "long", "2-D", "int", "float32", "list", "CSC matrix"])
+    def test_rejects_before_the_kernel(self, bad, monkeypatch):
+        # the kernel checks no lengths and reads any matrix's arrays as CSR
+        # arrays, so a wrong input must never reach it
+        M = cell_structure(6).G
+        m = M.shape[1]
+        M, x = {
+            "short": (M, np.zeros(m - 1)),
+            "long": (M, np.zeros(m + 1)),
+            "2-D": (M, np.zeros((m, 1))),
+            "int": (M, np.zeros(m, dtype=int)),
+            "float32": (M, np.zeros(m, dtype=np.float32)),
+            "list": (M, [0.0] * m),
+            "CSC matrix": (M.tocsc(), np.zeros(m)),
+        }[bad]
+        calls = []
+        monkeypatch.setattr(rveplast.assembly, "csr_matvec", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="csr_apply needs a"):
+            csr_apply(M, x)
+        assert not calls
+
+
 def schur_setup(L, seed=13):
     real, cell = sample(LAW, seed, 1, L), cell_structure(L)
     return real, assemble_operator(real), cell.n, cell
@@ -429,12 +474,12 @@ class TestSchurFactor:
         assert np.abs(x - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
         assert np.abs(S @ x - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
 
-    def test_largest_dense_cell_is_below_crossover(self):
+    def test_largest_factored_cell_is_below_crossover(self):
         # the largest cell that factors every flowing set (L=15) and the first CG cell
         assert cell_structure(15).m < _PCG_MIN_DOFS <= cell_structure(16).m
 
     @pytest.mark.parametrize("kind", ["singular", "indefinite"])
-    def test_unfactorizable_dense_schur_raises(self, kind):
+    def test_unfactorizable_schur_raises(self, kind):
         # S(k) is zero with a = 0, and indefinite with one edge type's a
         # negated; the first Newton step of a path makes a factor at every L
         for L in (6, 14):

@@ -11,8 +11,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rveplast.assembly
 import rveplast.solver
-from rveplast.assembly import RveState, build_increment, cell_structure, increment_energy
+from rveplast.assembly import RveState, build_increment, cell_structure, csr_apply, increment_energy
 from rveplast.driver import StrainPath, monotonic_path, run_path
 from rveplast.lattice import SymTensor2, edge_strains, ps_map
 from rveplast.randfield import MaterialLaw, sample
@@ -259,16 +260,21 @@ class TestNewtonCorrection:
         assert all(x is not None and iterations <= cap // 2 for x, iterations in returns)
 
 
-class CountingOperator:
-    """A stand-in for ``prob.A`` that counts its products."""
+def count_products(monkeypatch, matrix) -> list[int]:
+    """Count the ``csr_apply`` products with ``matrix`` that the solver and the energy make.
 
-    def __init__(self, A):
-        self.A = A
-        self.products = 0
+    Both modules' names of the helper are replaced by one counting wrapper;
+    the returned one-entry list holds the count.
+    """
+    products = [0]
 
-    def __matmul__(self, x):
-        self.products += 1
-        return self.A @ x
+    def counting(M, x):
+        products[0] += M is matrix
+        return csr_apply(M, x)
+
+    monkeypatch.setattr(rveplast.solver, "csr_apply", counting)
+    monkeypatch.setattr(rveplast.assembly, "csr_apply", counting)
+    return products
 
 
 def energy_change_bound(prob, y, z):
@@ -330,7 +336,7 @@ class TestEnergyChange:
         assert any(change > 0.0 for *_, change in trials) == (law is SOFT)
 
     @pytest.mark.parametrize("law", [LAW, SOFT], ids=["law", "soft"])
-    def test_one_product_with_A_per_point(self, law):
+    def test_one_product_with_A_per_point(self, law, monkeypatch):
         # the warm start and each trial point form A y once; that product
         # serves the point's energy change, its certificate and its Newton
         # right-hand side
@@ -339,10 +345,11 @@ class TestEnergyChange:
         for seed in range(5):
             prob = random_problem(3, seed=40 + seed, law=law)
             warm = rng.normal(scale=1e-2, size=prob.cell.total)[prob.cell.n :]
-            counting = CountingOperator(prob.A)
-            state, report = solve_increment(replace(prob, A=counting), warm_start=warm)
+            with monkeypatch.context() as patch:
+                products = count_products(patch, prob.A)
+                state, report = solve_increment(prob, warm_start=warm)
             assert report.iterations > 1
-            assert counting.products == 1 + report.iterations + report.halvings
+            assert products[0] == 1 + report.iterations + report.halvings
             assert report.residual == optimality_residual(prob, state)
             halvings += report.halvings
         assert (halvings > 0) == (law is SOFT)
@@ -554,6 +561,27 @@ class TestSolveIncrement:
             np.abs(state_cold.phi - state_warm.phi).max(),
         )
         assert diff <= 10 * 1e-10 * (1 + np.abs(state_cold.p).max())
+
+    def test_int_list_warm_start_matches_float_array(self):
+        prob = random_problem(3, seed=86)
+        warm = np.random.default_rng(86).integers(-1, 2, size=prob.cell.m)
+        assert np.abs(warm).max() == 1
+        state_list, rep_list = solve_increment(prob, warm_start=warm.tolist())
+        state, report = solve_increment(prob, warm_start=warm.astype(float))
+        assert np.array_equal(state_list.p, state.p) and np.array_equal(state_list.phi, state.phi)
+        assert rep_list.energies == report.energies and rep_list.iterations == report.iterations
+
+    def test_wrong_lengths_raise(self):
+        prob = random_problem(3, seed=87)
+        m = prob.cell.m
+        for warm in (np.zeros(m - 1), np.zeros(m + 1), np.zeros((m, 1))):
+            with pytest.raises(ValueError, match=f"m = {m}"):
+                solve_increment(prob, warm_start=warm)
+        for y in (np.zeros(prob.cell.total - 1), np.zeros(prob.cell.total + 1), np.zeros(m)):
+            with pytest.raises(ValueError, match=f"n \\+ m = {prob.cell.total}"):
+                optimality_residual(prob, y)
+            with pytest.raises(ValueError, match=f"n \\+ m = {prob.cell.total}"):
+                increment_energy(prob, y)
 
     def test_solution_improves_on_warm_start(self):
         prob = random_problem(3, seed=83, p_prev_scale=1e-4)
