@@ -232,7 +232,7 @@ class CellStructure:
         """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
 
         The displacements of ``state`` must vanish where they are clamped,
-        as in every state the solver returns.
+        as in every state ``unpack`` and ``run_path`` return.
         """
         # Fhat_e = (ps_map F)_alpha on every edge e of type alpha
         Fhat = np.repeat(ps_map(F), self.L**2)

@@ -10,7 +10,6 @@ worker-thread count.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -176,9 +175,13 @@ def parse_config(argv=None) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - _config_keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if raw.get("experiment", args.experiment) != args.experiment:
+            raise ConfigError(f"config file experiment {raw['experiment']!r} differs from {args.experiment!r}")
         values.update(raw)
     for key in _config_keys():
         flag_value = getattr(args, key, None)
@@ -262,7 +265,6 @@ def _write_csv(path: Path, columns, rows) -> None:
     counts = (text.count(","), text.count("\r"), text.count("\n"), text.count('"'))
     if counts != (separators, breaks, breaks, 0):
         raise ValueError(f"a value for {path.name} holds a comma, a quote or a line break")
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         handle.write(text)
 
@@ -279,19 +281,6 @@ def write_trajectories(path: Path, ensemble: McEnsemble) -> None:
         for l in range(len(times))
     )
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
-
-
-def read_trajectories(path: Path) -> dict[str, np.ndarray]:
-    """Re-read a trajectory CSV into column arrays (exact round trip)."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        data = list(zip(*[row for row in reader]))
-    out = {}
-    for name, col in zip(header, data):
-        conv = int if name in ("sample_id", "l") else float
-        out[name] = np.array([conv(v) for v in col])
-    return out
 
 
 def write_error_table(path: Path, table: ErrorTable, experiment: str) -> None:
@@ -353,12 +342,16 @@ def _make_path(config: RunConfig) -> StrainPath:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured study and write its CSV files."""
+    """Execute the configured study and write its CSV files into ``out``, made before the study runs."""
     config.validate()
     out_dir = Path(config.out)
     law = config.law()
     settings = config.solver_settings()
     path = _make_path(config)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {out_dir}: {err}") from err
 
     if config.experiment in ("cyclic", "monotonic", "custom-path"):
         ensemble = monte_carlo(law, config.L, config.M, config.seed, path, settings, config.threads)

@@ -10,13 +10,14 @@ stress is L^-2 (c v - B.T y) at the solved state y
 (``CellStructure.mapped_stress``), with c_alpha the sum of a over the
 type-alpha edges.
 
-A path keeps its states in one history array, one row per time stamp: the
-plastic strains, then the node-major displacements.  A step reads the
+A path keeps its states in one array, one row per time stamp.  During the
+solves its first n + m columns are the history: row l holds the flat
+y = [p; phi] that ``solve_increment`` returns for step l.  A step reads the
 previous plastic strains and the predictor's displacements from the rows
-before it and writes its solved state into its own row.  The stresses and
-plastic fractions of all steps are read off the whole history once, after
-the last step, and the returned states view its rows, so the history holds
-the path's states and nothing more.
+before it and writes its solved state into its own row.  After the last
+step the stresses are read off the whole history, one scatter makes the
+displacements of all rows node-major in place, and the returned states
+view the rows.
 
 Each solve starts at the secant predictor: the previous displacements
 extrapolated along the last step's change, scaled by the projection of the
@@ -125,7 +126,7 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     edge-by-edge definition; ``run_path`` gets the same values to round-off
     from its per-path load map (``CellStructure.mapped_stress``).  The
     displacements of ``state`` vanish at the clamped corners, as in every
-    state the solver returns.
+    state ``run_path`` returns.
     """
     return cell_structure(real.L).stress(real.a, state, F)
 
@@ -164,37 +165,33 @@ def run_path(
     from ps_map F to the load and the stress, and one Schur factor cache, and
     each starts at the secant predictor.  ps_map F of every step and the
     predictor's coefficients depend on the path alone and are formed once.
-    Each step solves into its row of the path's history, which the returned
-    states view; stresses and plastic fractions are formed for all steps at
-    once, after the last.
+    Each step solves into its row of the path's flat history; stresses,
+    plastic fractions and the returned node-major states are formed for all
+    steps at once, after the last.
     """
     cell = cell_structure(real.L)
     n, npt = cell.n, real.L**2
     A = assemble_operator(real)
     B = assemble_load(real)
-    # the history's rows hold the node-major phi, so its map to the stress
-    # holds the rows of B's free displacements at their node-major positions
-    B_nodes = np.zeros((n + 2 * npt, K))
-    B_nodes[:n] = B[:n]
-    B_nodes[n + cell.phi_index] = B[n:]
     a_sums = real.by_type("a").sum(axis=1)
     # row l is ps_map(F_l), bitwise: ps_map maps a 2 x 2 x (N+1) stack entry by entry
     f11, f12, f22 = path.tensors.T
     ps_strains = np.ascontiguousarray(ps_map(np.array([[f11, f12], [f12, f22]])).T)
     secant = _secant_coefficients(path.tensors).tolist()
     schur_factor: dict = {}
-    # row l holds the state after step l, its p and then its phi node-major;
-    # row 0 is the zero state
-    history = np.zeros((path.n_steps + 1, n + 2 * npt))
-    p, phi = history[:, :n], history[:, n:]
+    # one array holds the path's states, its rows as long as p and the node-major phi.  Its
+    # first n + m columns are the history: row l the flat y = [p; phi] after step l, row 0
+    # the zero state.  After the last step phi is made node-major in place
+    states = np.zeros((path.n_steps + 1, n + 2 * npt))
+    history = states[:, : cell.total]
     energies = [0.0]
     for l in range(1, path.n_steps + 1):
         f = B @ ps_strains[l]
-        prob = IncrementProblem(A, f, real.sy, p[l - 1], real.a, real.h, cell, schur_factor)
-        last = phi[l - 1]
-        start = cell.free_phi(last + secant[l] * (last - phi[max(l - 2, 0)]))
+        prob = IncrementProblem(A, f, real.sy, history[l - 1, :n], real.a, real.h, cell, schur_factor)
+        last = history[l - 1, n:]
+        start = last + secant[l] * (last - history[max(l - 2, 0), n:])
         try:
-            state, report = solve_increment(prob, warm_start=start, settings=settings)
+            history[l], report = solve_increment(prob, warm_start=start, settings=settings)
         except SolverError as err:
             raise PathError(
                 f"L={real.L} sample {real.sample_id}: solver failed at step {l} "
@@ -204,10 +201,13 @@ def run_path(
             ) from err
         if reports is not None:
             reports.append(report)
-        p[l] = state.p
-        phi[l] = state.phi.reshape(-1)
         energies.append(report.energy)
-    stresses = cell.mapped_stress(B_nodes, a_sums, history, ps_strains)
+    stresses = cell.mapped_stress(B, a_sums, history, ps_strains)
+    # the flat phi columns overlap the node-major ones, so they are copied out first
+    flat_phi = history[:, n:].copy()
+    p, phi = states[:, :n], states[:, n:]
+    phi[:] = 0.0
+    phi[:, cell.phi_index] = flat_phi
     fractions = np.count_nonzero(p.reshape(-1, K, npt), axis=2) / npt
     tensors = [SymTensor2(*row) for row in path.tensors.tolist()]
     return [

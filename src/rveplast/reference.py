@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import IncrementProblem, RveState
+from .assembly import IncrementProblem
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ def estimate_operator_norm(A, iterations: int = 200, seed: int = 0) -> float:
 
 def brute_force_increment(
     prob: IncrementProblem, iterations: int, step: float | None = None
-) -> RveState:
+) -> np.ndarray:
     """Proximal-gradient minimization of the increment functional.
 
     A gradient step on the smooth quadratic part followed by the exact
     scalar prox on every plastic degree of freedom.  Converges to the
     unique minimizer for step < 1 / ||A||; intended for tiny cells only.
+    Returns the flat state y = [p; phi], as ``solve_increment`` does.
     """
     A, f, r, p_prev = prob.A, prob.f, prob.r, prob.p_prev
     n = prob.cell.n
@@ -93,4 +94,4 @@ def brute_force_increment(
         dp = z[:n] - p_prev
         z[:n] = p_prev + np.sign(dp) * np.maximum(np.abs(dp) - step * r, 0.0)
         y = z
-    return prob.cell.unpack(y)
+    return y

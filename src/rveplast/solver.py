@@ -92,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .assembly import IncrementProblem, RveState, csr_apply, increment_energy
+from .assembly import IncrementProblem, csr_apply, increment_energy
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
@@ -374,17 +374,18 @@ def solve_increment(
     prob: IncrementProblem,
     warm_start: np.ndarray | None = None,
     settings: SolverSettings | None = None,
-) -> tuple[RveState, SolveReport]:
+) -> tuple[np.ndarray, SolveReport]:
     """Minimize the increment functional until the optimality certificate holds.
 
-    The warm start is the m free displacements in DOF order
-    (``CellStructure.free_phi``); the default start is the zero state.  The
-    start changes the Newton steps taken, not the minimizer: ``run_path``
-    saves steps by starting at the previous time steps' displacements
-    extrapolated along the strain path.  Raises ValueError if the warm
-    start does not hold m values, and SolverError with the diagnostic
-    report if max_outer Newton steps do not pass the certificate or a line
-    search finds no descent.
+    Returns the minimizer as the flat vector y = [p; phi], the displacements
+    in DOF order (``CellStructure.unpack`` makes an ``RveState`` of it), and
+    the report.  The warm start is the m free displacements, the tail of
+    such a y; the default start is the zero state.  The start changes the
+    Newton steps taken, not the minimizer: ``run_path`` saves steps by
+    starting at the previous time steps' displacements extrapolated along
+    the strain path.  Raises ValueError if the warm start does not hold m
+    values, and SolverError with the diagnostic report if max_outer Newton
+    steps do not pass the certificate or a line search finds no descent.
     """
     settings = settings or _DEFAULT_SETTINGS
     cell = prob.cell
@@ -433,4 +434,4 @@ def solve_increment(
     report.converged = failure is None
     if failure is not None:
         raise SolverError(f"increment solve {failure} (residual {report.residual:.3e})", report)
-    return cell.unpack(y.vec), report
+    return y.vec, report

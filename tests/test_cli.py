@@ -9,6 +9,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import rveplast.cli
 from rveplast.cli import (
     EXPERIMENTS,
     TRAJECTORY_COLUMNS,
@@ -18,7 +19,6 @@ from rveplast.cli import (
     build_arg_parser,
     main,
     parse_config,
-    read_trajectories,
     run,
     write_trajectories,
 )
@@ -26,6 +26,19 @@ from rveplast.driver import monotonic_path
 from rveplast.randfield import ConfigError, MaterialLaw
 from rveplast.solver import SolverSettings
 from rveplast.stats import fit_scaling_slopes, monte_carlo, systematic_error_study
+
+
+def read_trajectories(path) -> dict[str, np.ndarray]:
+    """Re-read a trajectory CSV into column arrays (exact round trip)."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        data = list(zip(*[row for row in reader]))
+    out = {}
+    for name, col in zip(header, data):
+        conv = int if name in ("sample_id", "l") else float
+        out[name] = np.array([conv(v) for v in col])
+    return out
 
 
 class TestParseConfig:
@@ -330,6 +343,43 @@ class TestMain:
         assert main(["custom-path", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and next(iter(values)) in err
+
+    @pytest.mark.parametrize("text", ["123", '[["L", 4]]'], ids=["number", "list"])
+    def test_config_file_not_an_object_exit_code(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["cyclic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "JSON object" in err
+
+    def test_config_file_experiment_must_match(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"experiment": "monotonic", "N": 2, "M": 1}))
+        assert main(["cyclic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'monotonic'" in err
+        cfg.write_text(json.dumps({"experiment": "cyclic", "N": 2, "M": 1}))
+        assert parse_config(["cyclic", "--config", str(cfg)]).experiment == "cyclic"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize(
+        "args",
+        [["cyclic"], ["error-study", "--L-list", "4,6", "--Lmax", "8", "--sys-window", "4,6", "--var-window", "4,6"]],
+        ids=["cyclic", "error-study"],
+    )
+    def test_unusable_out_exit_code_before_the_study(self, args, below, tmp_path, capsys, monkeypatch):
+        # an output path that cannot be a directory ends the run before any path is solved
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(rveplast.cli, "monte_carlo", study)
+        monkeypatch.setattr(rveplast.cli, "systematic_error_study", study)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        assert main(args + ["--M", "1", "--N", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -223,29 +223,31 @@ class TestRunPath:
         a_sums = real.by_type("a").sum(axis=1)
         A = assemble_operator(real)
         cache = {}
-        state = before = RveState.zero(L)
+        n = cell.n
+        y = before = np.zeros(cell.total)
         assert np.all(records[0][1].s == 0.0) and np.all(records[0][1].fractions == 0.0)
         for l in range(1, path.n_steps + 1):
             step = path.tensors[l] - path.tensors[l - 1]
             last = path.tensors[l - 1] - path.tensors[l - 2]
             c = float(step @ last / (last @ last)) if l >= 2 and last @ last > 0.0 else 0.0
-            start = cell.free_phi(state.phi + c * (state.phi - before.phi))
-            prob = build_increment(real, path.tensor(l), p_prev=state.p, A=A)
+            start = y[n:] + c * (y[n:] - before[n:])
+            prob = build_increment(real, path.tensor(l), p_prev=y[:n], A=A)
             prob = replace(prob, schur_factor=cache)
-            before = state
-            state, report = solve_increment(prob, warm_start=start)
+            before = y
+            y, report = solve_increment(prob, warm_start=start)
+            state = cell.unpack(y)
             got, rec = records[l]
             assert np.array_equal(got.p, state.p) and np.array_equal(got.phi, state.phi)
             assert rec.energy == report.energy
             assert np.array_equal(rec.fractions, plastic_fraction(state))
             assert asdict(reports[l - 1]) == asdict(report)
-            s_ref = cell.mapped_stress(B, a_sums, cell.pack(state), ps_map(path.tensor(l)))
+            s_ref = cell.mapped_stress(B, a_sums, y, ps_map(path.tensor(l)))
             assert np.abs(rec.s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
         if L == 16:
             assert sum(rep.pcg_solves for rep in reports) > 0
 
     def test_records_do_not_alias(self):
-        # each state owns its rows of its path's history: no two states share
+        # each state views its own row of its path's array: no two states share
         # memory, and a later path on the same cell size changes no record
         path = cyclic_path(n_steps=12)
         records = run_path(sample(LAW, 20240, 1, 6), path)
@@ -284,14 +286,14 @@ class TestRunPath:
         path = make_path()
         reports = []
         records = run_path(real, path, reports=reports)
-        state = RveState.zero(14)
+        cell = cell_structure(14)
+        y = np.zeros(cell.total)
         steps = 0
         for l in range(1, path.n_steps + 1):
-            prob = build_increment(real, path.tensor(l), p_prev=state.p)
-            warm = prob.cell.free_phi(state.phi)
-            state, report = solve_increment(prob, warm_start=warm)
+            prob = build_increment(real, path.tensor(l), p_prev=y[: cell.n])
+            y, report = solve_increment(prob, warm_start=y[cell.n :])
             steps += report.iterations
-            s, s_ref = records[l][1].s, stress_vector(real, state, path.tensor(l))
+            s, s_ref = records[l][1].s, stress_vector(real, cell.unpack(y), path.tensor(l))
             assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
         assert sum(rep.iterations for rep in reports) < steps
 
