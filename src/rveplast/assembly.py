@@ -15,9 +15,9 @@ The edge derivatives are linear in the free displacements, g = G phi, with
 a sparse n x m matrix G (n edges, m free displacement components) that
 depends on the cell size alone.  ``CellStructure`` is the one object per
 cell size: it numbers the degrees of freedom y = [p; phi], the displacements
-in a folded order that puts every S below within a narrow band, holds the
-clamp and G, and maps states to vectors and back.  Everything a realization
-needs follows from G and its edge values a, h:
+in a folded order that puts every S below within a narrow band, and holds
+the clamp and G.  ``RveState`` holds a state in this one layout.  Everything
+a realization needs follows from G and its edge values a, h:
 
     A       = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]
     f       = [a Fhat; -G.T (a Fhat)] = B ps_map F,   B = [E; -G.T E]
@@ -91,14 +91,15 @@ def csr_apply(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RveState:
-    """Plastic strain per edge and displacement fluctuation per node."""
+    """Plastic strain per edge and free displacement components in DOF order: y = [p; phi]."""
 
-    p: np.ndarray  # shape (K * L**2,)
-    phi: np.ndarray  # shape (L**2, 2)
+    p: np.ndarray  # shape (n,), n = K * L**2
+    phi: np.ndarray  # shape (m,), in the order of ``CellStructure.phi_index``
 
     @classmethod
     def zero(cls, L: int) -> "RveState":
-        return cls(np.zeros(K * L**2), np.zeros((L**2, 2)))
+        cell = cell_structure(L)
+        return cls(np.zeros(cell.n), np.zeros(cell.m))
 
 
 def _quadratic_map(dof: np.ndarray, weight: np.ndarray, size: int):
@@ -131,10 +132,11 @@ class CellStructure:
     Everything here depends on L alone (``cell_structure`` makes it once per
     L); a realization contributes only its edge values a and h.  The flat
     vector y = [p; phi] holds the n plastic strains (edge order), then the
-    m free displacement components in the folded order; the cell corners are
+    m free displacement components in the folded order, the one layout of
+    every state; clamped components are not stored.  The cell corners are
     clamped (``clamped_nodes``, all nodes when L <= 2), ``free`` marks the
-    unclamped components of the node-major (L**2, 2) array, and
-    ``phi_index`` lists their flat indices node * 2 + component in DOF order.
+    unclamped components of a node-major (L**2, 2) array, and ``phi_index``
+    lists their flat indices node * 2 + component in DOF order.
     The folded order numbers the coordinates 0, 2, 4, ... going up to the
     middle of the cell and ..., 5, 3, 1 coming back, so periodic neighbours
     are at most two apart in each coordinate, and sorts the components by
@@ -209,34 +211,16 @@ class CellStructure:
         for arr in arrays:
             arr.flags.writeable = False
 
-    def free_phi(self, phi: np.ndarray) -> np.ndarray:
-        """The free components of a node-major (L**2, 2) displacement array, in DOF order."""
-        return phi.reshape(-1)[self.phi_index]
-
-    def pack(self, state: RveState) -> np.ndarray:
-        """The flat vector [p; phi on the free components] of a state."""
-        return np.concatenate([state.p, self.free_phi(state.phi)])
-
-    def unpack(self, y: np.ndarray) -> RveState:
-        """The state of a flat vector; clamped displacements are zero."""
-        phi = np.zeros(self.free.size)
-        phi[self.phi_index] = y[self.n :]
-        return RveState(y[: self.n].copy(), phi.reshape(self.free.shape))
-
     def operator(self, a: np.ndarray, h: np.ndarray) -> sp.csr_matrix:
         """A = [[diag(a + h), -diag(a) G], [-G.T diag(a), G.T diag(a) G]]."""
         data = self.A_map @ np.concatenate([a, h])
         return sp.csr_matrix((data, self.A_indices, self.A_indptr), shape=(self.total, self.total))
 
     def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
-        """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e).
-
-        The displacements of ``state`` must vanish where they are clamped,
-        as in every state ``unpack`` and ``run_path`` return.
-        """
+        """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e)."""
         # Fhat_e = (ps_map F)_alpha on every edge e of type alpha
         Fhat = np.repeat(ps_map(F), self.L**2)
-        sigma = a * (Fhat + self.G @ self.free_phi(state.phi) - state.p)
+        sigma = a * (Fhat + self.G @ state.phi - state.p)
         return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
 
     def mapped_stress(self, B: np.ndarray, c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -341,11 +325,15 @@ class IncrementProblem:
 
     def as_vector(self, y) -> np.ndarray:
         """The flat state y = [p; phi] of an ``RveState`` or of an array of length n + m."""
+        n, m = self.cell.n, self.cell.m
         if isinstance(y, RveState):
-            return self.cell.pack(y)
+            if np.shape(y.p) != (n,) or np.shape(y.phi) != (m,):
+                got = f"{np.shape(y.p)} and {np.shape(y.phi)}"
+                raise ValueError(f"a state needs p of shape (n,) = ({n},) and phi of shape (m,) = ({m},), got {got}")
+            return np.concatenate([y.p, y.phi])
         vec = np.asarray(y, dtype=float)
-        if vec.shape != (self.cell.total,):
-            raise ValueError(f"a flat state needs n + m = {self.cell.total} entries, got shape {vec.shape}")
+        if vec.shape != (n + m,):
+            raise ValueError(f"a flat state needs n + m = {n + m} entries, got shape {vec.shape}")
         return vec
 
 
@@ -357,18 +345,21 @@ def build_increment(
 ) -> IncrementProblem:
     """Assemble the increment problem for macro strain F.
 
-    ``p_prev`` holds the plastic strains of the previous step (default 0).
-    Pass the operator of a previous increment as ``A`` to reuse it: the
-    Hessian does not depend on F or the plastic history.
+    ``p_prev`` holds the n plastic strains of the previous step (default 0),
+    else ValueError.  Pass the operator of a previous increment as ``A`` to
+    reuse it: the Hessian does not depend on F or the plastic history.
     """
     if real.L < 2:
         raise ValueError(f"increment problems need L >= 2, got L={real.L}")
     cell = cell_structure(real.L)
+    p_prev = np.zeros(cell.n) if p_prev is None else np.asarray(p_prev, dtype=float)
+    if p_prev.shape != (cell.n,):
+        raise ValueError(f"p_prev needs the n = {cell.n} plastic strains, got shape {p_prev.shape}")
     return IncrementProblem(
         A=assemble_operator(real) if A is None else A,
         f=assemble_load(real) @ ps_map(F),
         r=real.sy,
-        p_prev=np.zeros(cell.n) if p_prev is None else np.asarray(p_prev, dtype=float),
+        p_prev=p_prev,
         a=real.a,
         h=real.h,
         cell=cell,

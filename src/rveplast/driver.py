@@ -10,14 +10,13 @@ stress is L^-2 (c v - B.T y) at the solved state y
 (``CellStructure.mapped_stress``), with c_alpha the sum of a over the
 type-alpha edges.
 
-A path keeps its states in one array, one row per time stamp.  During the
-solves its first n + m columns are the history: row l holds the flat
-y = [p; phi] that ``solve_increment`` returns for step l.  A step reads the
+A path keeps its states in one array, one row per time stamp: row l holds
+the flat y = [p; phi] that ``solve_increment`` returns for step l, the
+displacements in DOF order, and row 0 the zero state.  A step reads the
 previous plastic strains and the predictor's displacements from the rows
 before it and writes its solved state into its own row.  After the last
-step the stresses are read off the whole history, one scatter makes the
-displacements of all rows node-major in place, and the returned states
-view the rows.
+step the stresses are read off all rows at once, and the returned states
+view the rows: each state's p and phi are the head and the tail of its row.
 
 Each solve starts at the secant predictor: the previous displacements
 extrapolated along the last step's change, scaled by the projection of the
@@ -124,16 +123,14 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     s_alpha = L^-2 sum over type-alpha edges of
     a_e ((ps_map F)_alpha + g_e(phi) - p_e) (``CellStructure.stress``), the
     edge-by-edge definition; ``run_path`` gets the same values to round-off
-    from its per-path load map (``CellStructure.mapped_stress``).  The
-    displacements of ``state`` vanish at the clamped corners, as in every
-    state ``run_path`` returns.
+    from its per-path load map (``CellStructure.mapped_stress``).
     """
     return cell_structure(real.L).stress(real.a, state, F)
 
 
 def plastic_fraction(state: RveState) -> np.ndarray:
     """Share of edges per type with nonzero plastic strain (exact nonzero)."""
-    npt = state.phi.shape[0]
+    npt = state.p.size // K
     return np.count_nonzero(state.p.reshape(K, npt), axis=1) / npt
 
 
@@ -165,9 +162,8 @@ def run_path(
     from ps_map F to the load and the stress, and one Schur factor cache, and
     each starts at the secant predictor.  ps_map F of every step and the
     predictor's coefficients depend on the path alone and are formed once.
-    Each step solves into its row of the path's flat history; stresses,
-    plastic fractions and the returned node-major states are formed for all
-    steps at once, after the last.
+    Each step solves into its row of the path's flat states; stresses and
+    plastic fractions are formed for all steps at once, after the last.
     """
     cell = cell_structure(real.L)
     n, npt = cell.n, real.L**2
@@ -179,19 +175,16 @@ def run_path(
     ps_strains = np.ascontiguousarray(ps_map(np.array([[f11, f12], [f12, f22]])).T)
     secant = _secant_coefficients(path.tensors).tolist()
     schur_factor: dict = {}
-    # one array holds the path's states, its rows as long as p and the node-major phi.  Its
-    # first n + m columns are the history: row l the flat y = [p; phi] after step l, row 0
-    # the zero state.  After the last step phi is made node-major in place
-    states = np.zeros((path.n_steps + 1, n + 2 * npt))
-    history = states[:, : cell.total]
+    # row l is the flat y = [p; phi] after step l, row 0 the zero state
+    states = np.zeros((path.n_steps + 1, cell.total))
     energies = [0.0]
     for l in range(1, path.n_steps + 1):
         f = B @ ps_strains[l]
-        prob = IncrementProblem(A, f, real.sy, history[l - 1, :n], real.a, real.h, cell, schur_factor)
-        last = history[l - 1, n:]
-        start = last + secant[l] * (last - history[max(l - 2, 0), n:])
+        prob = IncrementProblem(A, f, real.sy, states[l - 1, :n], real.a, real.h, cell, schur_factor)
+        last = states[l - 1, n:]
+        start = last + secant[l] * (last - states[max(l - 2, 0), n:])
         try:
-            history[l], report = solve_increment(prob, warm_start=start, settings=settings)
+            states[l], report = solve_increment(prob, warm_start=start, settings=settings)
         except SolverError as err:
             raise PathError(
                 f"L={real.L} sample {real.sample_id}: solver failed at step {l} "
@@ -202,17 +195,11 @@ def run_path(
         if reports is not None:
             reports.append(report)
         energies.append(report.energy)
-    stresses = cell.mapped_stress(B, a_sums, history, ps_strains)
-    # the flat phi columns overlap the node-major ones, so they are copied out first
-    flat_phi = history[:, n:].copy()
+    stresses = cell.mapped_stress(B, a_sums, states, ps_strains)
     p, phi = states[:, :n], states[:, n:]
-    phi[:] = 0.0
-    phi[:, cell.phi_index] = flat_phi
     fractions = np.count_nonzero(p.reshape(-1, K, npt), axis=2) / npt
     tensors = [SymTensor2(*row) for row in path.tensors.tolist()]
     return [
         (RveState(p_l, phi_l), StressRecord(F, s, fr, energy))
-        for p_l, phi_l, F, s, fr, energy in zip(
-            p, phi.reshape(-1, npt, 2), tensors, stresses, fractions, energies
-        )
+        for p_l, phi_l, F, s, fr, energy in zip(p, phi, tensors, stresses, fractions, energies)
     ]

@@ -94,13 +94,6 @@ def projected_edge_derivative(field, edge, L: int) -> float:
     return float(EDGE_COEFF[alpha] @ (field[head] - field[tail]))
 
 
-def edge_strains(field, L: int) -> np.ndarray:
-    """Projected edge derivative on all edges at once, shape (K, L*L)."""
-    field = np.asarray(field, dtype=float)
-    heads = edge_heads(L)
-    return np.array([(field[heads[alpha]] - field) @ EDGE_COEFF[alpha] for alpha in range(K)])
-
-
 def ps_map(F) -> np.ndarray:
     """Tensor-to-vector conversion: longitudinal strain per edge type.
 

@@ -43,11 +43,11 @@ class MaterialLaw:
     def __post_init__(self):
         for name in ("a", "h"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi):
-                raise ConfigError(f"{name} interval must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
+            if not (0.0 < lo <= hi < np.inf):
+                raise ConfigError(f"{name} interval must satisfy 0 < lo <= hi < inf, got [{lo}, {hi}]")
         lo, hi = self.sigma_y
-        if not (0.0 <= lo <= hi):
-            raise ConfigError(f"sigma_y interval must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
+        if not (0.0 <= lo <= hi < np.inf):
+            raise ConfigError(f"sigma_y interval must satisfy 0 <= lo <= hi < inf, got [{lo}, {hi}]")
 
     @classmethod
     def point_mass(cls, a: float, h: float, sigma_y: float) -> "MaterialLaw":

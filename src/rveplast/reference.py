@@ -81,7 +81,7 @@ def brute_force_increment(
     A gradient step on the smooth quadratic part followed by the exact
     scalar prox on every plastic degree of freedom.  Converges to the
     unique minimizer for step < 1 / ||A||; intended for tiny cells only.
-    Returns the flat state y = [p; phi], as ``solve_increment`` does.
+    Returns the flat state y = [p; phi in DOF order], as ``solve_increment`` does.
     """
     A, f, r, p_prev = prob.A, prob.f, prob.r, prob.p_prev
     n = prob.cell.n

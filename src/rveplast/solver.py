@@ -378,7 +378,7 @@ def solve_increment(
     """Minimize the increment functional until the optimality certificate holds.
 
     Returns the minimizer as the flat vector y = [p; phi], the displacements
-    in DOF order (``CellStructure.unpack`` makes an ``RveState`` of it), and
+    in DOF order, the layout of an ``RveState`` (p its head, phi its tail), and
     the report.  The warm start is the m free displacements, the tail of
     such a y; the default start is the zero state.  The start changes the
     Newton steps taken, not the minimizer: ``run_path`` saves steps by

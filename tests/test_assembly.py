@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from fields import dof_order, edge_strains, node_major
 
 import rveplast.assembly
 from rveplast.assembly import (
@@ -19,7 +20,7 @@ from rveplast.assembly import (
     increment_energy,
 )
 from rveplast.driver import stress_vector
-from rveplast.lattice import K, SymTensor2, edge_strains, projected_edge_derivative, ps_map
+from rveplast.lattice import K, SymTensor2, projected_edge_derivative, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.solver import (
     _PCG_MIN_DOFS,
@@ -33,16 +34,23 @@ LAW = MaterialLaw()
 
 
 def random_state(cell, rng, scale=1e-3):
-    state = RveState.zero(cell.L)
-    state.p[:] = rng.normal(scale=scale, size=state.p.size)
-    state.phi[:] = rng.normal(scale=scale, size=state.phi.shape)
-    state.phi[cell.clamped_nodes] = 0.0
-    return state
+    """p on the n edges and phi on the m free components of ``cell``."""
+    return RveState(rng.normal(scale=scale, size=cell.n), rng.normal(scale=scale, size=cell.m))
+
+
+def flat(state):
+    """The flat vector y = [p; phi] of a state."""
+    return np.concatenate([state.p, state.phi])
+
+
+def strains(real, state):
+    """g_e(phi) of the state's node-major field, shape (K, L*L)."""
+    return edge_strains(node_major(cell_structure(real.L), state.phi), real.L)
 
 
 def edge_sum_form(real, state):
     """Definition-level oracle for the quadratic form value."""
-    g = edge_strains(state.phi, real.L)
+    g = strains(real, state)
     p = state.p.reshape(K, real.L**2)
     a, h = real.by_type("a"), real.by_type("h")
     return float(np.sum(a * (g - p) ** 2 + h * p**2))
@@ -50,7 +58,7 @@ def edge_sum_form(real, state):
 
 def edge_sum_load(real, F, state):
     """Definition-level oracle for f . y = sum a Fhat (p - g)."""
-    g = edge_strains(state.phi, real.L)
+    g = strains(real, state)
     p = state.p.reshape(K, real.L**2)
     fhat = ps_map(F)
     return float(np.sum(real.by_type("a") * fhat[:, None] * (p - g)))
@@ -58,7 +66,7 @@ def edge_sum_load(real, F, state):
 
 def stored_energy(real, F, state):
     """Full stored energy: sum_e a/2 (Fhat + g - p)^2 + h/2 p^2."""
-    g = edge_strains(state.phi, real.L)
+    g = strains(real, state)
     p = state.p.reshape(K, real.L**2)
     fhat = ps_map(F)
     a, h = real.by_type("a"), real.by_type("h")
@@ -79,11 +87,33 @@ class TestClamping:
         assert cell_structure(2).m == 0
 
     def test_pack_unpack_roundtrip(self):
+        # a state is the flat y = [p; phi], and the tests' node-major scatter
+        # and gather through phi_index are inverse to each other
         cell = cell_structure(4)
-        state = random_state(cell, np.random.default_rng(0))
-        back = cell.unpack(cell.pack(state))
-        assert np.array_equal(back.p, state.p)
-        assert np.array_equal(back.phi, state.phi)
+        rng = np.random.default_rng(0)
+        state = random_state(cell, rng)
+        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2.zero())
+        assert np.array_equal(prob.as_vector(state), flat(state))
+        field = node_major(cell, state.phi)
+        assert field.shape == (16, 2) and not field[cell.clamped_nodes].any()
+        assert np.array_equal(dof_order(cell, field), state.phi)
+        free_field = np.where(cell.free, rng.normal(size=cell.free.shape), 0.0)
+        assert np.array_equal(node_major(cell, dof_order(cell, free_field)), free_field)
+
+    def test_as_vector_rejects_other_shapes(self):
+        # a state holds n plastic strains and the m free displacements; a
+        # node-major phi of the (L**2, 2) field fails loudly
+        cell = cell_structure(4)
+        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2.zero())
+        state = random_state(cell, np.random.default_rng(1))
+        bad = [
+            RveState(state.p, node_major(cell, state.phi)),
+            RveState(state.p, state.phi[:-1]),
+            RveState(state.p[:-1], state.phi),
+        ]
+        for wrong in bad:
+            with pytest.raises(ValueError, match=f"\\(n,\\) = \\({cell.n},\\).*\\(m,\\) = \\({cell.m},\\)"):
+                prob.as_vector(wrong)
 
 
 class TestOperator:
@@ -115,7 +145,7 @@ class TestOperator:
         rng = np.random.default_rng(L)
         for _ in range(3):
             state = random_state(cell, rng)
-            y = cell.pack(state)
+            y = flat(state)
             assert y @ (A @ y) == pytest.approx(edge_sum_form(real, state), rel=1e-12)
 
     def test_unclamped_form_invariant_under_constant_shift(self):
@@ -124,8 +154,9 @@ class TestOperator:
         A = cell.operator(real.a, real.h)
         rng = np.random.default_rng(7)
         state = random_state(cell, rng)
-        shifted = RveState(state.p.copy(), state.phi + np.array([0.37, -1.2]))
-        y, ys = cell.pack(state), cell.pack(shifted)
+        field = node_major(cell, state.phi) + np.array([0.37, -1.2])
+        shifted = RveState(state.p.copy(), dof_order(cell, field))
+        y, ys = flat(state), flat(shifted)
         assert ys @ (A @ ys) == pytest.approx(y @ (A @ y), rel=1e-9)
 
     def test_uniform_coercivity(self):
@@ -182,7 +213,7 @@ class TestLoad:
         cell = cell_structure(L)
         rng = np.random.default_rng(L + 10)
         state = random_state(cell, rng)
-        assert f @ cell.pack(state) == pytest.approx(edge_sum_load(real, F, state), rel=1e-12)
+        assert f @ flat(state) == pytest.approx(edge_sum_load(real, F, state), rel=1e-12)
 
     @pytest.mark.parametrize("L", [2, 3, 5])
     def test_smooth_part_is_stored_energy_minus_constant(self, L):
@@ -196,16 +227,17 @@ class TestLoad:
         rng = np.random.default_rng(L)
         for _ in range(3):
             state = random_state(cell, rng)
-            y = cell.pack(state)
+            y = flat(state)
             smooth = 0.5 * y @ (A @ y) - f @ y
             assert smooth + const == pytest.approx(stored_energy(real, F, state), rel=1e-10)
 
 
 def edge_derivatives(state, L):
     """g_e(phi) edge by edge with projected_edge_derivative, shape (K, L*L)."""
+    field = node_major(cell_structure(L), state.phi)
     return np.array(
         [
-            [projected_edge_derivative(state.phi, (tail, alpha), L) for tail in range(L**2)]
+            [projected_edge_derivative(field, (tail, alpha), L) for tail in range(L**2)]
             for alpha in range(K)
         ]
     )
@@ -227,7 +259,7 @@ class TestLoadStressPairing:
             p = state.p.reshape(K, L**2)
             # f.y = sum_e a_e Fhat_a (p_e - g_e(phi))
             terms = real.by_type("a") * ps_map(self.F)[:, None] * (p - edge_derivatives(state, L))
-            assert abs(f @ cell.pack(state) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+            assert abs(f @ flat(state) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("L", [2, 3, 6])
     def test_stress_matches_edge_definition(self, L):
@@ -255,9 +287,9 @@ class TestLoadStressPairing:
         units = [SymTensor2(1.0, -0.5, 0.0), SymTensor2(0.0, -0.5, 1.0), SymTensor2(0.0, 1.0, 0.0)]
         # g_e of the unit displacement of each free component, in DOF order
         unit_g = []
-        for flat in cell.phi_index:
+        for dof in range(cell.m):
             unit = RveState.zero(L)
-            unit.phi.reshape(-1)[flat] = 1.0
+            unit.phi[dof] = 1.0
             unit_g.append(edge_derivatives(unit, L))
         for alpha, F in enumerate(units):
             assert np.array_equal(ps_map(F), np.eye(K)[alpha])
@@ -272,7 +304,7 @@ class TestLoadStressPairing:
         rng = np.random.default_rng(20 + L)
         for _ in range(3):
             state = random_state(cell, rng)
-            s = cell.mapped_stress(B, a_sums, cell.pack(state), ps_map(self.F))
+            s = cell.mapped_stress(B, a_sums, flat(state), ps_map(self.F))
             s_ref = stress_vector(real, state, self.F)
             assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
 
@@ -287,6 +319,14 @@ class TestCellStructure:
         assert prob.A is A and np.all(prob.p_prev == 0.0)
         second = build_increment(real, SymTensor2.zero())
         assert second.cell is prob.cell and second.schur_factor is not prob.schur_factor
+
+    @pytest.mark.parametrize("p_prev", [1e-4, np.full(1, 1e-4), np.zeros(5)], ids=["scalar", "(1,)", "(5,)"])
+    def test_build_increment_rejects_p_prev_of_other_shapes(self, p_prev):
+        # a scalar or a (1,) p_prev would broadcast as a constant plastic
+        # strain, and a (5,) one would fail inside the solver
+        real = sample(LAW, 60, 1, 4)
+        with pytest.raises(ValueError, match=f"n = {cell_structure(4).n} plastic strains"):
+            build_increment(real, SymTensor2(1e-3, 0.0, 0.0), p_prev=p_prev)
 
     def test_one_read_only_structure_per_cell_size(self):
         # worker threads share the structure: it is made once per L and

@@ -119,7 +119,9 @@ class TestRunPath:
     def test_zero_path(self):
         real = sample(LAW, 2, 1, 3)
         path = StrainPath(np.linspace(0, 1, 4), np.zeros((4, 3)))
+        cell = cell_structure(3)
         for state, rec in run_path(real, path):
+            assert state.p.shape == (cell.n,) and state.phi.shape == (cell.m,)
             assert np.all(state.p == 0.0) and np.all(state.phi == 0.0)
             assert np.all(rec.s == 0.0) and rec.energy == 0.0
 
@@ -195,8 +197,7 @@ class TestRunPath:
             assert (prob.A != expected.A).nnz == 0
             assert prob.schur_factor is problems[0].schur_factor
         assert problems[0].schur_factor  # holds the path's last factor
-        cell = cell_structure(real.L)
-        phis = [np.zeros_like(starts[0])] + [cell.free_phi(state.phi) for state, _ in records]
+        phis = [np.zeros_like(starts[0])] + [state.phi for state, _ in records]
         steps = np.diff(path.tensors, axis=0)
         assert np.all(starts[0] == 0.0)
         for l in range(2, path.n_steps + 1):
@@ -235,7 +236,7 @@ class TestRunPath:
             prob = replace(prob, schur_factor=cache)
             before = y
             y, report = solve_increment(prob, warm_start=start)
-            state = cell.unpack(y)
+            state = RveState(y[:n], y[n:])
             got, rec = records[l]
             assert np.array_equal(got.p, state.p) and np.array_equal(got.phi, state.phi)
             assert rec.energy == report.energy
@@ -293,7 +294,7 @@ class TestRunPath:
             prob = build_increment(real, path.tensor(l), p_prev=y[: cell.n])
             y, report = solve_increment(prob, warm_start=y[cell.n :])
             steps += report.iterations
-            s, s_ref = records[l][1].s, stress_vector(real, cell.unpack(y), path.tensor(l))
+            s, s_ref = records[l][1].s, stress_vector(real, RveState(y[: cell.n], y[cell.n :]), path.tensor(l))
             assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
         assert sum(rep.iterations for rep in reports) < steps
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fields import edge_strains
 from hypothesis import given, strategies as st
 
 from rveplast.lattice import (
@@ -9,7 +10,6 @@ from rveplast.lattice import (
     K,
     SymTensor2,
     edge_heads,
-    edge_strains,
     projected_edge_derivative,
     ps_adjoint,
     ps_map,

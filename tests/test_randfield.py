@@ -40,6 +40,10 @@ class TestMaterialLaw:
             {"h": (-1.0, 1.0)},
             {"sigma_y": (5.0, 1.0)},
             {"sigma_y": (-2.0, -1.0)},
+            # infinite bounds pass lo <= hi, but an inf draw ends a path in a nan residual
+            {"a": (1e6, np.inf)},
+            {"h": (np.inf, np.inf)},
+            {"sigma_y": (0.9e3, np.inf)},
         ],
     )
     def test_invalid_intervals_rejected(self, kwargs):

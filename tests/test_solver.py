@@ -10,12 +10,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
+from fields import dof_order, edge_strains, node_major
 
 import rveplast.assembly
 import rveplast.solver
 from rveplast.assembly import RveState, build_increment, cell_structure, csr_apply, increment_energy
 from rveplast.driver import StrainPath, monotonic_path, run_path
-from rveplast.lattice import SymTensor2, edge_strains, ps_map
+from rveplast.lattice import SymTensor2, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.reference import brute_force_increment, return_map, SpringParams
 from rveplast.solver import (
@@ -68,8 +69,7 @@ class TestReturnMap:
         phi = rng.normal(scale=3e-4, size=prob.cell.m)
         p = _return_map(prob, phi, _increment_terms(prob))
 
-        state = prob.cell.unpack(np.concatenate([np.zeros(prob.cell.n), phi]))
-        strain = (ps_map(F)[:, None] + edge_strains(state.phi, L)).ravel()
+        strain = (ps_map(F)[:, None] + edge_strains(node_major(prob.cell, phi), L)).ravel()
         expected = np.array(
             [
                 return_map(SpringParams(a, h, sy), d, p_prev)
@@ -119,7 +119,7 @@ class TestNewtonCorrection:
                 draws = rng.normal(scale=1e-2, size=prob.cell.total)
                 phi = np.zeros(prob.cell.free.shape)
                 phi[prob.cell.free] = draws[prob.cell.n :]
-                phi0 = prob.cell.free_phi(phi)
+                phi0 = dof_order(prob.cell, phi)
                 _, report = solve_increment(prob, warm_start=phi0)
                 start = np.concatenate([_return_map(prob, phi0, _increment_terms(prob)), phi0])
                 assert report.energies[0] == increment_energy(prob, start)
@@ -230,8 +230,8 @@ class TestNewtonCorrection:
         gate = SolverSettings().tol_residual * (1 + np.abs(prob.f).max())
         target = gate / 10  # of each linear solve, max|S d_phi - rhs|
         n = prob.cell.n
-        warm1 = prob.cell.free_phi(records[-1][0].phi)
-        warm2 = prob.cell.free_phi(records[-2][0].phi)
+        warm1 = records[-1][0].phi
+        warm2 = records[-2][0].phi
         pcg_solves = cg_states_moved = 0
         for warm in (warm1, warm1, warm2, warm1):
             fresh = replace(prob, schur_factor={})
@@ -366,7 +366,7 @@ def first_newton_step(L):
     """S (dense), the right-hand side and the CG target of the first Newton step of an increment."""
     prob, state = increment_on_path(L)
     n = prob.cell.n
-    phi = prob.cell.pack(state)[n:]
+    phi = prob.as_vector(state)[n:]
     y = np.concatenate([_return_map(prob, phi, _increment_terms(prob)), phi])
     rhs = prob.f[n:] - (prob.A @ y)[n:]
     flowing = y[:n] != prob.p_prev
@@ -493,7 +493,7 @@ class TestPreconditionedSolve:
         S = dense_schur(prob, np.ones(prob.cell.n, dtype=bool))
         assert rveplast.solver._pcg(S.dot, solve, prob.f[prob.cell.n :], 1e-6) == (None, 0)
         prob.schur_factor["last"] = (b"another flowing set", solve)
-        warm = prob.cell.free_phi(state.phi)
+        warm = state.phi
         result, report = solve_increment(prob, warm_start=warm)
         assert report.converged and report.factors >= 1 and report.pcg_solves >= 1
         # the kept solve is a partial of the cell's solve and its new band factor
@@ -583,7 +583,7 @@ class TestSolveIncrement:
         prob = random_problem(3, seed=83, p_prev_scale=1e-4)
         warm = RveState.zero(3)
         warm.p[:] = 1e-3
-        _, report = solve_increment(prob, warm_start=prob.cell.free_phi(warm.phi))
+        _, report = solve_increment(prob, warm_start=warm.phi)
         assert report.energy <= increment_energy(prob, warm)
 
     def test_nonconvergence_raises_with_report(self):
