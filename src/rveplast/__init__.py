@@ -31,7 +31,6 @@ from .lattice import (
     EdgeType,
     SymTensor2,
     projected_edge_derivative,
-    ps_adjoint,
     ps_map,
     wrap_node,
 )
@@ -50,7 +49,6 @@ from .stats import (
     SlopeFit,
     loglog_slope,
     monte_carlo,
-    numerical_slope,
     systematic_error_study,
 )
 

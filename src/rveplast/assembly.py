@@ -287,7 +287,11 @@ def assemble_load(real: Realization) -> np.ndarray:
     sum_e a_e/2 Fhat_e^2; at the flat state y the stress is
     L^-2 (c v - B.T y) (``CellStructure.mapped_stress``).  With spatially
     constant coefficients the displacement block of f telescopes to zero.
+    Every increment, built by ``build_increment`` or by ``run_path``, takes
+    its load from here, so this is where cells of side L < 2 are refused.
     """
+    if real.L < 2:
+        raise ValueError(f"increment problems need L >= 2, got L={real.L}")
     cell = cell_structure(real.L)
     E = np.zeros((cell.n, K))
     E[np.arange(cell.n), np.arange(cell.n) // real.L**2] = real.a
@@ -349,8 +353,6 @@ def build_increment(
     else ValueError.  Pass the operator of a previous increment as ``A`` to
     reuse it: the Hessian does not depend on F or the plastic history.
     """
-    if real.L < 2:
-        raise ValueError(f"increment problems need L >= 2, got L={real.L}")
     cell = cell_structure(real.L)
     p_prev = np.zeros(cell.n) if p_prev is None else np.asarray(p_prev, dtype=float)
     if p_prev.shape != (cell.n,):

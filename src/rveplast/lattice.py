@@ -114,11 +114,3 @@ def ps_map(F) -> np.ndarray:
         ]
     )
 
-
-def ps_adjoint(s) -> SymTensor2:
-    """Adjoint of ps_map: maps a per-type vector back to a symmetric tensor.
-
-    Satisfies s . ps_map(F) == ps_adjoint(s) : F for all symmetric F.
-    """
-    s = np.asarray(s, dtype=float)
-    return SymTensor2(s[0] + 0.5 * s[2], 0.5 * s[2], s[1] + 0.5 * s[2])

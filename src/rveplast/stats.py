@@ -3,9 +3,8 @@
 Sample runs are embarrassingly parallel; reductions always happen in
 ascending sample-id order, so results are bitwise independent of the
 worker count.  The error study follows the nested-restriction procedure:
-it runs the same sample ids 1..M at every cell size, and position-keyed
-sampling makes each of those realizations the restriction of the same
-sample id's realization on the largest box.
+it samples each sample id 1..M once on the largest box and cuts every
+smaller cell from that realization with ``restrict``.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import StrainPath, run_path
-# restrict is not called here: benchmarks/tracing.py hooks rveplast.stats.restrict
-# by name, and benchmarks/test_smoke.py expects that hook to resolve
-from .randfield import MaterialLaw, Realization, restrict, sample  # noqa: F401
+from .randfield import MaterialLaw, Realization, restrict, sample
 from .solver import SolverSettings
 
 
@@ -56,19 +53,14 @@ def _run_one(real: Realization, path: StrainPath, settings: SolverSettings | Non
     )
 
 
-def monte_carlo(
-    law: MaterialLaw,
-    L: int,
-    M: int,
-    seed: int,
-    path: StrainPath,
-    settings: SolverSettings | None = None,
-    threads: int = 1,
+def _ensemble(
+    reals: list[Realization], path: StrainPath, settings: SolverSettings | None, threads: int
 ) -> McEnsemble:
-    """Run the path for sample ids 1..M and average the stress trajectories."""
-    if M < 1:
+    """Run the path on every realization of one cell size and average the stress trajectories."""
+    if not reals:
         raise ValueError("need at least one sample")
-    reals = [sample(law, seed, i, L) for i in range(1, M + 1)]
+    if threads < 1:
+        raise ValueError(f"need at least one worker thread, got threads={threads}")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda r: _run_one(r, path, settings), reals))
@@ -77,8 +69,8 @@ def monte_carlo(
     stresses, fractions, energies, residuals, residuals_rel, monotone = zip(*results)
     stresses = np.array(stresses)
     return McEnsemble(
-        L=int(L),
-        M=M,
+        L=reals[0].L,
+        M=len(reals),
         times=path.times.copy(),
         f11=path.tensors[:, 0].copy(),
         stresses=stresses,
@@ -89,6 +81,19 @@ def monte_carlo(
         max_residual_rel=max(residuals_rel),
         energy_monotone=all(monotone),
     )
+
+
+def monte_carlo(
+    law: MaterialLaw,
+    L: int,
+    M: int,
+    seed: int,
+    path: StrainPath,
+    settings: SolverSettings | None = None,
+    threads: int = 1,
+) -> McEnsemble:
+    """Run the path for sample ids 1..M and average the stress trajectories."""
+    return _ensemble([sample(law, seed, i, L) for i in range(1, M + 1)], path, settings, threads)
 
 
 @dataclass(frozen=True)
@@ -134,25 +139,6 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def numerical_slope(series, driver) -> np.ndarray:
-    """Difference quotient of a time series against the loading component.
-
-    Both arguments are sequences of (t, value) pairs on the same time
-    grid; the driver values (the loading) must be strictly increasing.
-    Returns (v_k - v_{k-1}) / (F_k - F_{k-1}) for k = 1..N.
-    """
-    series = np.asarray(series, dtype=float)
-    driver = np.asarray(driver, dtype=float)
-    if series.shape != driver.shape or series.ndim != 2 or series.shape[1] != 2:
-        raise ValueError("need matching (t, value) pair sequences")
-    if not np.array_equal(series[:, 0], driver[:, 0]):
-        raise ValueError("series and driver are on different time grids")
-    dF = np.diff(driver[:, 1])
-    if np.any(dF <= 0):
-        raise ValueError("the loading component must be strictly increasing")
-    return np.diff(series[:, 1]) / dF
-
-
 def _closest_step(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
 
@@ -195,19 +181,19 @@ def systematic_error_study(
 ) -> ErrorTable:
     """Nested-restriction error study against the largest cell.
 
-    Runs ``monte_carlo`` with sample ids 1..M at every requested L and at
-    L_max.  Position-keyed sampling makes each realization on the cell of
-    side L the restriction of the same sample id's realization on the box
-    of side L_max, so this is the paper's nested procedure.  It compares
-    the Monte-Carlo means: e_sys(L) = |mean_L - mean_Lmax| componentwise,
-    zero at L_max by construction.  The per-L biased sample variances come
-    along for free.
+    Samples ids 1..M once on the box of side L_max and runs the path on
+    the restriction of each to every requested L and to L_max itself, the
+    paper's nested procedure; position-keyed sampling makes each cut
+    bitwise the fresh sample of its L.  It compares the Monte-Carlo means:
+    e_sys(L) = |mean_L - mean_Lmax| componentwise, zero at L_max by
+    construction.  The per-L biased sample variances come along for free.
     """
     Ls = sorted(set(int(L) for L in Ls))
     if any(L > L_max for L in Ls):
         raise ValueError(f"every L must be <= L_max={L_max}")
+    bigs = [sample(law, seed, i, L_max) for i in range(1, M + 1)]
     ens = {
-        L: monte_carlo(law, L, M, seed, path, settings, threads)
+        L: _ensemble([restrict(big, L) for big in bigs], path, settings, threads)
         for L in sorted(set(Ls) | {L_max})
     }
     return ErrorTable(

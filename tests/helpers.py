@@ -1,0 +1,63 @@
+"""Helpers that only the tests call.
+
+Node-major displacement fields for the edge-by-edge oracles.  The library
+stores a state's displacements only as the m free components in DOF order
+(``RveState.phi``, the tail of y = [p; phi]).  The oracles read a field as
+one 2-vector per node, shape (L**2, 2); ``node_major`` and ``dof_order``
+convert between the two through ``CellStructure.phi_index``.
+
+The adjoint of ``ps_map`` (``ps_adjoint``) and the difference quotient of
+a stress series against the loading (``numerical_slope``), which no study
+of the library needs.
+"""
+
+import numpy as np
+
+from rveplast.lattice import EDGE_COEFF, K, SymTensor2, edge_heads
+
+
+def node_major(cell, phi):
+    """The (L**2, 2) field of the free displacements phi in DOF order; zero where clamped."""
+    field = np.zeros(cell.free.size)
+    field[cell.phi_index] = phi
+    return field.reshape(cell.free.shape)
+
+
+def dof_order(cell, field):
+    """The free components of a node-major (L**2, 2) field, in DOF order."""
+    return np.asarray(field, dtype=float).reshape(-1)[cell.phi_index]
+
+
+def edge_strains(field, L):
+    """Projected edge derivative of a node-major field on all edges at once, shape (K, L*L)."""
+    field = np.asarray(field, dtype=float)
+    heads = edge_heads(L)
+    return np.array([(field[heads[alpha]] - field) @ EDGE_COEFF[alpha] for alpha in range(K)])
+
+
+def ps_adjoint(s) -> SymTensor2:
+    """Adjoint of ps_map: maps a per-type vector back to a symmetric tensor.
+
+    Satisfies s . ps_map(F) == ps_adjoint(s) : F for all symmetric F.
+    """
+    s = np.asarray(s, dtype=float)
+    return SymTensor2(s[0] + 0.5 * s[2], 0.5 * s[2], s[1] + 0.5 * s[2])
+
+
+def numerical_slope(series, driver) -> np.ndarray:
+    """Difference quotient of a time series against the loading component.
+
+    Both arguments are sequences of (t, value) pairs on the same time
+    grid; the driver values (the loading) must be strictly increasing.
+    Returns (v_k - v_{k-1}) / (F_k - F_{k-1}) for k = 1..N.
+    """
+    series = np.asarray(series, dtype=float)
+    driver = np.asarray(driver, dtype=float)
+    if series.shape != driver.shape or series.ndim != 2 or series.shape[1] != 2:
+        raise ValueError("need matching (t, value) pair sequences")
+    if not np.array_equal(series[:, 0], driver[:, 0]):
+        raise ValueError("series and driver are on different time grids")
+    dF = np.diff(driver[:, 1])
+    if np.any(dF <= 0):
+        raise ValueError("the loading component must be strictly increasing")
+    return np.diff(series[:, 1]) / dF

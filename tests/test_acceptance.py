@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import numerical_slope
 
 from rveplast.assembly import build_increment, increment_energy
 from rveplast.driver import cyclic_path, monotonic_path, run_path
@@ -17,7 +18,7 @@ from rveplast.lattice import SymTensor2
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.reference import SpringParams, brute_force_increment, spring_trajectory
 from rveplast.solver import solve_increment
-from rveplast.stats import loglog_slope, monte_carlo, numerical_slope, systematic_error_study
+from rveplast.stats import loglog_slope, monte_carlo, systematic_error_study
 
 SEED = 20240
 LAW = MaterialLaw()

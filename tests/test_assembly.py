@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from fields import dof_order, edge_strains, node_major
+from helpers import dof_order, edge_strains, node_major
 
 import rveplast.assembly
 from rveplast.assembly import (
@@ -183,6 +183,10 @@ class TestOperator:
 
 
 class TestLoad:
+    def test_rejects_tiny_cells(self):
+        with pytest.raises(ValueError, match="L >= 2, got L=1"):
+            assemble_load(sample(LAW, 6, 1, 1))
+
     def test_zero_strain_zero_load(self):
         real = sample(LAW, 6, 1, 4)
         assert np.all(assemble_load(real) @ ps_map(SymTensor2.zero()) == 0.0)

@@ -345,6 +345,11 @@ class TestRunPath:
             run_path(real, monotonic_path(), settings=SolverSettings(max_outer=1))
         assert excinfo.value.step >= 1
 
+    def test_rejects_tiny_cells(self):
+        # a cell of side 1 has no increment problem; its load map refuses it
+        with pytest.raises(ValueError, match="L >= 2, got L=1"):
+            run_path(sample(LAW, 1, 1, 1), monotonic_path(n_steps=2))
+
     def test_reports_collected(self):
         real = sample(LAW, 7, 1, 3)
         reports = []
@@ -419,6 +424,49 @@ class TestStallReplays:
 def _interval(low, high):
     """(lo, hi) with lo in [low, high] and hi up to 3 lo."""
     return st.tuples(st.floats(low, high), st.floats(1.0, 3.0)).map(lambda t: (t[0], t[0] * t[1]))
+
+
+def f11_path(values) -> StrainPath:
+    """The uniaxial path from zero strain through the given F11 values, one time unit apart."""
+    tensors = np.zeros((len(values) + 1, 3))
+    tensors[1:, 0] = values
+    return StrainPath(np.arange(len(values) + 1, dtype=float), tensors)
+
+
+class TestPrandtlIshlinskii:
+    # Under the paper's law the uniaxial response of a cell is a generalized
+    # Prandtl-Ishlinskii operator (Krasnosel'skii and Pokrovskii, Systems with
+    # Hysteresis, 1989), exact to round-off.  The cases are fixed: under
+    # high-contrast laws the structure is inexact, and a search would find that.
+    CELLS = [(L, seed) for L in (3, 4, 6) for seed in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("L, seed", CELLS)
+    @pytest.mark.parametrize(
+        "start, segment",
+        [([], (0.0, 3.4e-3)), ([3e-3], (3e-3, -1e-3))],
+        ids=["virgin", "after-reversal"],
+    )
+    def test_monotone_segment_is_step_independent(self, L, seed, start, segment):
+        real = sample(LAW, seed, 1, L)
+        ends = [
+            run_path(real, f11_path(start + list(np.linspace(*segment, n + 1)[1:])))[-1][1].s
+            for n in (1, 10, 40)
+        ]
+        scale = max(np.abs(s).max() for s in ends)
+        for s in ends[1:]:
+            assert np.abs(s - ends[0]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L, seed", CELLS)
+    @pytest.mark.parametrize("F_r, delta", [(3e-3, 2e-3), (2e-3, 4e-3), (1e-3, 1.5e-3), (3.4e-3, 6.8e-3)])
+    def test_masing_rule(self, L, seed, F_r, delta):
+        # s(F_r - delta) = s(F_r) - 2 phi(delta / 2), phi the virgin response
+        # of one increment from zero strain
+        real = sample(LAW, seed, 1, L)
+        records = run_path(real, f11_path([F_r, F_r - delta]))
+        s_r, s_back = records[1][1].s, records[2][1].s
+        virgin = run_path(real, f11_path([delta / 2]))[1][1].s
+        scale = max(np.abs(s_r).max(), np.abs(s_back).max())
+        assert np.abs(s_back - (s_r - 2.0 * virgin)).max() <= 1e-12 * scale
 
 
 @st.composite

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
-from fields import dof_order, edge_strains, node_major
+from helpers import dof_order, edge_strains, node_major
 
 import rveplast.assembly
 import rveplast.solver

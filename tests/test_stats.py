@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from helpers import numerical_slope
 
+import rveplast.stats
 from rveplast.driver import monotonic_path, run_path
-from rveplast.randfield import MaterialLaw, restrict, sample
+from rveplast.randfield import MaterialLaw, sample
 from rveplast.stats import (
     McEnsemble,
     loglog_slope,
     monte_carlo,
-    numerical_slope,
     systematic_error_study,
     systematic_reference,
     variance_reference,
@@ -75,6 +76,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(LAW, 3, 0, 1, monotonic_path(n_steps=2))
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_needs_at_least_one_thread(self, threads):
+        with pytest.raises(ValueError, match=f"threads={threads}"):
+            monte_carlo(LAW, 3, 2, 1, monotonic_path(n_steps=2), threads=threads)
+
+    def test_rejects_tiny_cells(self):
+        with pytest.raises(ValueError, match="L >= 2, got L=1"):
+            monte_carlo(LAW, 1, 2, 1, monotonic_path(n_steps=2))
+
 
 class TestSampleVariance:
     def test_identical_samples(self):
@@ -123,18 +133,34 @@ class TestErrorStudy:
         assert np.all(table.e_sys[6] == 0.0)
 
     def test_restriction_study_matches_direct_sampling(self):
-        # the study samples every cell size directly; position-keyed sampling
-        # makes those ensembles the ones of the L_max realizations restricted
+        # the study cuts every cell size from the L_max realizations;
+        # position-keyed sampling makes those the ensembles sampled directly
         path = monotonic_path(n_steps=4)
         table = systematic_error_study(LAW, [4], 8, 3, 12, path)
-        restricted = tiny_ensemble(
-            [
-                [rec.s for _, rec in run_path(restrict(sample(LAW, 12, i, 8), 4), path)]
-                for i in (1, 2, 3)
-            ]
-        )
-        assert np.array_equal(table.mean[4], restricted.mean)
-        assert np.array_equal(table.variance[4], restricted.variance())
+        direct = monte_carlo(LAW, 4, 3, 12, path)
+        assert np.array_equal(table.mean[4], direct.mean)
+        assert np.array_equal(table.variance[4], direct.variance())
+
+    def test_samples_only_the_largest_cell(self, monkeypatch):
+        drawn = []
+
+        def recording_sample(law, seed, sample_id, L):
+            drawn.append((sample_id, L))
+            return sample(law, seed, sample_id, L)
+
+        monkeypatch.setattr(rveplast.stats, "sample", recording_sample)
+        table = systematic_error_study(LAW, [4, 6], 8, 3, 12, monotonic_path(n_steps=2))
+        assert drawn == [(1, 8), (2, 8), (3, 8)]
+        assert sorted(table.mean) == [4, 6, 8]
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_needs_at_least_one_thread(self, threads):
+        with pytest.raises(ValueError, match=f"threads={threads}"):
+            systematic_error_study(LAW, [4], 6, 2, 1, monotonic_path(n_steps=2), threads=threads)
+
+    def test_rejects_tiny_cells(self):
+        with pytest.raises(ValueError, match="L >= 2, got L=1"):
+            systematic_error_study(LAW, [1, 4], 6, 2, 1, monotonic_path(n_steps=2))
 
     def test_zero_at_reference_and_errors_recorded(self):
         path = monotonic_path(n_steps=4)
