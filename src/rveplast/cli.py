@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import types
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -97,35 +97,35 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        bounds = (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("max_outer", 1), ("threads", 1))
-        for key, low in bounds:
+        for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("threads", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
-        if self.L_list is not None:
-            # only error-study reads L_max; variance-study refers to max(L_list)
-            if self.experiment == "error-study":
-                bad = [L for L in self.L_list if not 2 <= L <= self.L_max]
-                if bad:
-                    raise ConfigError(f"L_list entries must lie in [2, L_max]: {bad}")
-            elif min(self.L_list, default=2) < 2:
-                raise ConfigError(f"L_list entries must be >= 2, got {self.L_list}")
-        windows = (("sys_window", DEFAULT_SYS_WINDOW), ("var_window", DEFAULT_VAR_WINDOW))
-        for key, default in windows:
+        windows = {"sys_window": DEFAULT_SYS_WINDOW, "var_window": DEFAULT_VAR_WINDOW}
+        for key in windows:
             window = getattr(self, key)
             if window is not None and (len(window) != 2 or window[0] > window[1]):
                 raise ConfigError(f"{key} must be two cell sizes lo,hi with lo <= hi, got {window}")
-            if self.experiment in ("error-study", "variance-study"):
-                Ls, L_max = _study_sizes(self)
-                lo, hi = window or default
-                if len(fit_window(Ls, L_max, (lo, hi))) < 2:
-                    raise ConfigError(
-                        f"{key} [{lo}, {hi}] must hold at least two cell sizes of {sorted(set(Ls))} "
-                        f"other than the reference size {L_max}"
-                    )
+        study = self.experiment in ("error-study", "variance-study")
+        if study and not self.L_list:
+            raise ConfigError(f"{self.experiment} needs a non-empty L_list, got {self.L_list}")
+        if self.L_list:
+            # for the experiments that ignore L_list the reference size is its largest entry
+            Ls, L_max = _study_sizes(self)
+            bad = [L for L in Ls if not 2 <= L <= L_max]
+            if bad:
+                raise ConfigError(f"L_list entries must lie in [2, {L_max}], the reference size: {bad}")
+            if study:
+                for key, default in windows.items():
+                    lo, hi = getattr(self, key) or default
+                    if len(fit_window(Ls, L_max, (lo, hi))) < 2:
+                        raise ConfigError(
+                            f"{key} [{lo}, {hi}] must hold at least two cell sizes of {sorted(set(Ls))} "
+                            f"other than the reference size {L_max}"
+                        )
         self.law()  # validates the intervals
         self.solver_settings()
         if self.experiment == "custom-path" and not self.path:
@@ -138,8 +138,7 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 def _study_sizes(config: RunConfig) -> tuple[list[int], int]:
     """Cell sizes and reference size of an error or variance study."""
-    Ls = config.L_list or _PRESETS[config.experiment]["L_list"]
-    return Ls, config.L_max if config.experiment == "error-study" else max(Ls)
+    return config.L_list, config.L_max if config.experiment == "error-study" else max(config.L_list)
 
 
 def _has_type(value, hint) -> bool:
@@ -160,13 +159,9 @@ def _is_finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _config_keys() -> set[str]:
-    return {f.name for f in fields(RunConfig)}
-
-
 def parse_config(argv=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus overriding flags."""
-    args = _arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
 
     values: dict = {"experiment": args.experiment}
     values.update(_PRESETS[args.experiment])
@@ -177,13 +172,13 @@ def parse_config(argv=None) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - _config_keys()
+        unknown = set(raw) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if raw.get("experiment", args.experiment) != args.experiment:
             raise ConfigError(f"config file experiment {raw['experiment']!r} differs from {args.experiment!r}")
         values.update(raw)
-    for key in _config_keys():
+    for key in _FIELD_TYPES:
         flag_value = getattr(args, key, None)
         if flag_value is not None and key != "experiment":
             values[key] = flag_value
@@ -212,8 +207,12 @@ _FLAG_HELP = {
 }
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    """One flag per config key except ``experiment`` (positional) and ``path`` (config only)."""
+    """One flag per config key except ``experiment`` (positional) and ``path`` (config only).
+
+    Built once per process; ``parse_config`` reads every command line with it.
+    """
     parser = argparse.ArgumentParser(
         prog="rve-plast",
         description="Elastoplastic spring-network RVE studies (cyclic, monotonic, error scaling)",
@@ -232,12 +231,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help=_FLAG_HELP.get(name),
         )
     return parser
-
-
-@functools.cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The parser ``parse_config`` reads flags with, built once per process."""
-    return build_arg_parser()
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -284,38 +277,28 @@ def write_trajectories(path: Path, ensemble: McEnsemble) -> None:
 
 
 def write_error_table(path: Path, table: ErrorTable, experiment: str) -> None:
-    """Error-study rows; the reference column is the anchored rate curve.
+    """Error-study rows in (L, l, alpha) order; the reference column is the anchored rate curve.
 
     For error studies it overlays L^-2 (ln L)^2 on e_sys, for variance
-    studies L^-2 on the variance, each anchored at the smallest L.
+    studies L^-2 on the variance, each anchored at the smallest L; it is 0
+    at the reference size.
     """
-    Ls = [L for L in sorted(set(table.Ls) | {table.L_max})]
-    fit_Ls = np.array([L for L in Ls if L != table.L_max], dtype=float)
+    Ls = sorted(set(table.Ls) | {table.L_max})
+    values, reference = (
+        (table.variance, variance_reference)
+        if experiment == "variance-study"
+        else (table.e_sys, systematic_reference)
+    )
+    # curves[l][alpha][j]: the curve of step l and component alpha at Ls[j]
+    curves = reference(Ls, values[Ls[0]][..., None]).tolist()
+    times, f11 = table.times.tolist(), table.f11.tolist()
     rows = []
-    n_times = table.times.size
-    for l in range(n_times):
-        for alpha in range(3):
-            if experiment == "variance-study":
-                anchor = table.variance[Ls[0]][l, alpha]
-                ref = dict(zip(fit_Ls, variance_reference(fit_Ls, anchor)))
-            else:
-                anchor = table.e_sys[Ls[0]][l, alpha]
-                ref = dict(zip(fit_Ls, systematic_reference(fit_Ls, anchor)))
-            for L in Ls:
-                rows.append(
-                    (
-                        L,
-                        l,
-                        table.times[l],
-                        table.f11[l],
-                        alpha + 1,
-                        table.e_sys[L][l, alpha],
-                        table.variance[L][l, alpha],
-                        ref.get(L, 0.0),
-                    )
-                )
-    # deterministic order: by L, then l, then alpha
-    rows.sort(key=lambda row: (row[0], row[1], row[4]))
+    for j, L in enumerate(Ls):
+        e_sys, variance = table.e_sys[L].tolist(), table.variance[L].tolist()
+        for l in range(len(times)):
+            for alpha in range(3):
+                ref = curves[l][alpha][j] if L != table.L_max else 0.0
+                rows.append((L, l, times[l], f11[l], alpha + 1, e_sys[l][alpha], variance[l][alpha], ref))
     _write_csv(path, ERROR_COLUMNS, rows)
 
 
@@ -386,18 +369,13 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except PathError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 1
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -93,6 +93,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .assembly import IncrementProblem, csr_apply, increment_energy
+from .randfield import ConfigError
 
 # backtracking step lengths: 1, 1/2, ... down to 2**-53, about 1e-16
 _STEPS = [0.5**k for k in range(54)]
@@ -127,9 +128,9 @@ class SolverSettings:
 
     def __post_init__(self):
         if not (0.0 < self.tol_residual < np.inf):
-            raise ValueError("tol_residual must be finite and positive")
+            raise ConfigError(f"tol_residual must be finite and positive, got {self.tol_residual}")
         if type(self.max_outer) is not int or self.max_outer < 1:  # a bool is not one
-            raise ValueError("max_outer must be an integer >= 1")
+            raise ConfigError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
 _DEFAULT_SETTINGS = SolverSettings()

@@ -115,9 +115,9 @@ class ErrorTable:
     mean: dict[int, np.ndarray]  # per L: (N+1, K) mean stress
     e_sys: dict[int, np.ndarray]  # per L: (N+1, K) |mean_L - mean_Lmax|
     variance: dict[int, np.ndarray]  # per L: (N+1, K) biased sample variance
-    max_residual: float = 0.0
-    max_residual_rel: float = 0.0
-    energy_monotone: bool = True
+    max_residual: float  # worst optimality residual over all increments
+    max_residual_rel: float  # worst residual / (1 + max|f|) over all increments
+    energy_monotone: bool  # every solve's energy sequence was nonincreasing
 
 
 # pseudo times at which the system sits in the elastic, transitional and

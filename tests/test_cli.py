@@ -12,6 +12,7 @@ import pytest
 import rveplast.cli
 from rveplast.cli import (
     EXPERIMENTS,
+    ERROR_COLUMNS,
     TRAJECTORY_COLUMNS,
     RunConfig,
     _study_sizes,
@@ -20,12 +21,21 @@ from rveplast.cli import (
     main,
     parse_config,
     run,
+    write_error_table,
     write_trajectories,
 )
 from rveplast.driver import monotonic_path
 from rveplast.randfield import ConfigError, MaterialLaw
 from rveplast.solver import SolverSettings
-from rveplast.stats import fit_scaling_slopes, monte_carlo, systematic_error_study
+from rveplast.stats import (
+    fit_scaling_slopes,
+    monte_carlo,
+    systematic_error_study,
+    systematic_reference,
+    variance_reference,
+)
+
+STUDIES = ("error-study", "variance-study")
 
 
 def read_trajectories(path) -> dict[str, np.ndarray]:
@@ -110,6 +120,31 @@ class TestParseConfig:
         # without windows the default sys window [6, 26] holds one size of the study
         with pytest.raises(ConfigError, match="sys_window"):
             parse_config(args)
+
+    @pytest.mark.parametrize("experiment", STUDIES)
+    def test_study_needs_cell_sizes(self, experiment, tmp_path):
+        # the preset's sizes apply only where no L_list is given; an empty one is refused
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"L_list": []}))
+        for args in (["--L-list="], ["--config", str(cfg)]):
+            with pytest.raises(ConfigError, match="non-empty L_list"):
+                parse_config([experiment, *args])
+        with pytest.raises(ConfigError, match="non-empty L_list"):
+            RunConfig(experiment).validate()
+        # the other experiments ignore L_list, but refuse entries below 2
+        assert parse_config(["cyclic", "--L-list="]).L_list == []
+        with pytest.raises(ConfigError, match="L_list"):
+            parse_config(["cyclic", "--L-list", "1,6"])
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_solver_settings_refused_as_config_error(self, tol):
+        # the rule lives in SolverSettings alone
+        with pytest.raises(ConfigError, match="tol_residual"):
+            parse_config(["cyclic", "--tol-residual", tol])
+        with pytest.raises(ConfigError, match="tol_residual"):
+            SolverSettings(tol_residual=float(tol))
+        with pytest.raises(ConfigError, match="max_outer"):
+            parse_config(["cyclic", "--max-outer", "0"])
 
     @pytest.mark.parametrize("window, sizes", [([4, 5], 1), ([5, 8], 1), ([4, 6], 2)])
     def test_window_rule_shared_by_validation_and_fit(self, window, sizes):
@@ -252,6 +287,38 @@ class TestRun:
         quantities = {row.split(",")[0] for row in slopes[1:]}
         assert {"e_sys", "variance"} <= quantities
 
+    @pytest.mark.parametrize("experiment", STUDIES)
+    def test_error_table_rows(self, experiment, tmp_path):
+        # rows in (L, l, alpha) order; the reference column is the curve anchored
+        # at each step's and component's value at the smallest L, 0 at L_max
+        table = systematic_error_study(MaterialLaw(), [4, 3], 5, 2, 20240, monotonic_path(n_steps=3))
+        values, reference = {
+            "error-study": (table.e_sys, systematic_reference),
+            "variance-study": (table.variance, variance_reference),
+        }[experiment]
+        lines = [",".join(ERROR_COLUMNS)]
+        for j, L in enumerate([3, 4, 5]):
+            for l in range(table.times.size):
+                for alpha in range(3):
+                    ref = reference([3, 4], values[3][l, alpha])[j] if L != 5 else 0.0
+                    floats = (table.times[l], table.f11[l], table.e_sys[L][l, alpha], table.variance[L][l, alpha], ref)
+                    t, f11, e, v, r = (f"{float(x):.17g}" for x in floats)
+                    lines.append(f"{L},{l},{t},{f11},{alpha + 1},{e},{v},{r}")
+        path = tmp_path / "table.csv"
+        write_error_table(path, table, experiment)
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("experiment", STUDIES)
+    def test_error_table_of_the_reference_size_alone(self, experiment, tmp_path):
+        table = systematic_error_study(MaterialLaw(), [3], 3, 1, 20240, monotonic_path(n_steps=2))
+        path = tmp_path / "table.csv"
+        write_error_table(path, table, experiment)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 3 * 3
+        assert {row["L"] for row in rows} == {"3"}
+        assert all(float(row["e_sys"]) == float(row["reference_scaling"]) == 0.0 for row in rows)
+
     def test_custom_path_from_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         rows = [[0.0, 0.0, 0.0, 0.0], [0.5, 1e-3, 0.0, 0.0], [1.0, 2e-3, 1e-4, 0.0]]
@@ -310,6 +377,10 @@ class TestMain:
                 "--var-window", "100,200",
                 "--sys-window", "3,4",
             ],
+            ["error-study", "--L-list="],
+            ["variance-study", "--L-list="],
+            ["cyclic", "--tol-residual", "0"],
+            ["cyclic", "--tol-residual", "-1"],
         ],
     )
     def test_bad_flags_exit_code(self, args, tmp_path, capsys):
@@ -343,6 +414,18 @@ class TestMain:
         assert main(["custom-path", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and next(iter(values)) in err
+
+    @pytest.mark.parametrize("experiment", STUDIES)
+    def test_empty_L_list_in_file_exit_code(self, experiment, tmp_path, capsys, monkeypatch):
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(rveplast.cli, "systematic_error_study", study)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"L_list": []}))
+        assert main([experiment, "--config", str(cfg), "--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "L_list" in err
 
     @pytest.mark.parametrize("text", ["123", '[["L", 4]]'], ids=["number", "list"])
     def test_config_file_not_an_object_exit_code(self, text, tmp_path, capsys):

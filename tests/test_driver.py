@@ -468,6 +468,28 @@ class TestPrandtlIshlinskii:
         scale = max(np.abs(s_r).max(), np.abs(s_back).max())
         assert np.abs(s_back - (s_r - 2.0 * virgin)).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("L, seed", CELLS)
+    @pytest.mark.parametrize(
+        "F1, F2, F3",
+        [(3e-3, 1e-3, 3.4e-3), (2e-3, -1e-3, 3e-3), (3.4e-3, 2.5e-3, 3.4e-3), (-2e-3, 1e-3, -3e-3)],
+    )
+    def test_wiping_out(self, L, seed, F1, F2, F3):
+        # return-point memory: the minor loop F1 -> F2 -> F1 ends at the stress
+        # of the first F1, and the continuation to F3 is that of 0 -> F1 -> F3
+        real = sample(LAW, seed, 1, L)
+        for n in (1, 7):  # steps per segment
+
+            def legs(corners):
+                ends = [0.0, *corners]
+                return [F for a, b in zip(ends, ends[1:]) for F in np.linspace(a, b, n + 1)[1:]]
+
+            loop = [rec.s for _, rec in run_path(real, f11_path(legs([F1, F2, F1, F3])))]
+            direct = [rec.s for _, rec in run_path(real, f11_path(legs([F1, F3])))]
+            scale = max(np.abs(s).max() for s in loop + direct)
+            assert np.abs(loop[3 * n] - loop[n]).max() <= 1e-12 * scale
+            for s, s_direct in zip(loop[3 * n + 1 :], direct[n + 1 :], strict=True):
+                assert np.abs(s - s_direct).max() <= 1e-12 * scale
+
 
 @st.composite
 def reversal_paths(draw):
