@@ -28,7 +28,6 @@ from .driver import (
 )
 from .lattice import (
     EDGE_TYPES,
-    EdgeType,
     SymTensor2,
     projected_edge_derivative,
     ps_map,

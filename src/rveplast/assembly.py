@@ -216,20 +216,13 @@ class CellStructure:
         data = self.A_map @ np.concatenate([a, h])
         return sp.csr_matrix((data, self.A_indices, self.A_indptr), shape=(self.total, self.total))
 
-    def stress(self, a: np.ndarray, state: RveState, F) -> np.ndarray:
-        """s_alpha = L^-2 sum_{e in alpha} a_e (Fhat_e + (G phi)_e - p_e)."""
-        # Fhat_e = (ps_map F)_alpha on every edge e of type alpha
-        Fhat = np.repeat(ps_map(F), self.L**2)
-        sigma = a * (Fhat + self.G @ state.phi - state.p)
-        return sigma.reshape(K, -1).sum(axis=1) * float(self.L) ** (-D)
-
     def mapped_stress(self, B: np.ndarray, c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``stress`` read off the load map B (``assemble_load``): L^-2 (c v - B.T y).
+        """``stress_vector`` read off the load map B (``assemble_load``): L^-2 (c v - B.T y).
 
         y is the flat state, v = ps_map F and c_alpha the sum of a over the
-        type-alpha edges; equal to ``stress`` up to round-off.  A stack of
-        states, one per row of y, with one v per row, gives one stress per
-        row.
+        type-alpha edges; equal to ``driver.stress_vector``, the edge-by-edge
+        stress, up to round-off.  A stack of states, one per row of y, with
+        one v per row, gives one stress per row.
         """
         return (c * v - y @ B) * float(self.L) ** (-D)
 

@@ -41,7 +41,7 @@ from .assembly import (
     assemble_operator,
     cell_structure,
 )
-from .lattice import K, SymTensor2, ps_map
+from .lattice import D, K, SymTensor2, ps_map
 from .randfield import Realization
 from .solver import SolverError, SolveReport, SolverSettings, solve_increment
 
@@ -121,11 +121,14 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.
 
     s_alpha = L^-2 sum over type-alpha edges of
-    a_e ((ps_map F)_alpha + g_e(phi) - p_e) (``CellStructure.stress``), the
-    edge-by-edge definition; ``run_path`` gets the same values to round-off
-    from its per-path load map (``CellStructure.mapped_stress``).
+    a_e ((ps_map F)_alpha + g_e(phi) - p_e), the edge-by-edge definition;
+    ``run_path`` gets the same values to round-off from its per-path load
+    map (``CellStructure.mapped_stress``).
     """
-    return cell_structure(real.L).stress(real.a, state, F)
+    # Fhat_e = (ps_map F)_alpha on every edge e of type alpha
+    Fhat = np.repeat(ps_map(F), real.L**2)
+    sigma = real.a * (Fhat + cell_structure(real.L).G @ state.phi - state.p)
+    return sigma.reshape(K, -1).sum(axis=1) * float(real.L) ** (-D)
 
 
 def plastic_fraction(state: RveState) -> np.ndarray:

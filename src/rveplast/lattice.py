@@ -16,32 +16,12 @@ import numpy as np
 D = 2  # spatial dimension
 K = 3  # number of edge types
 
+# the generating edge directions e_alpha of the triangular lattice
+EDGE_TYPES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (1, 1))
 
-@dataclass(frozen=True)
-class EdgeType:
-    """One generating edge direction of the triangular lattice."""
-
-    direction: tuple[int, int]
-
-    @property
-    def length(self) -> float:
-        ex, ey = self.direction
-        return float(np.hypot(ex, ey))
-
-    @property
-    def unit(self) -> np.ndarray:
-        return np.asarray(self.direction, dtype=float) / self.length
-
-
-EDGE_TYPES: tuple[EdgeType, ...] = (
-    EdgeType((1, 0)),
-    EdgeType((0, 1)),
-    EdgeType((1, 1)),
-)
-
-# unit(alpha) / length(alpha): per-component weights of the projected edge
-# derivative, i.e. grad_s u(e) = EDGE_COEFF[alpha] . (u(head) - u(tail))
-EDGE_COEFF = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+# unit(alpha) / length(alpha) = e_alpha / |e_alpha|^2: per-component weights of
+# the projected edge derivative, grad_s u(e) = EDGE_COEFF[alpha] . (u(head) - u(tail))
+EDGE_COEFF = np.array([np.divide(e, np.dot(e, e)) for e in EDGE_TYPES])
 
 
 @dataclass(frozen=True)
@@ -65,8 +45,7 @@ def edge_heads(L: int) -> np.ndarray:
     if L < 1:
         raise ValueError(f"lattice side must be >= 1, got {L}")
     x, y = np.tile(np.arange(L), L), np.repeat(np.arange(L), L)
-    steps = [et.direction for et in EDGE_TYPES]
-    return np.array([((y + ey) % L) * L + (x + ex) % L for ex, ey in steps])
+    return np.array([((y + ey) % L) * L + (x + ex) % L for ex, ey in EDGE_TYPES])
 
 
 def wrap_node(xy, L: int) -> int:
@@ -89,7 +68,7 @@ def projected_edge_derivative(field, edge, L: int) -> float:
     field = np.asarray(field, dtype=float)
     tail, alpha = edge
     x, y = tail % L, tail // L
-    ex, ey = EDGE_TYPES[alpha].direction
+    ex, ey = EDGE_TYPES[alpha]
     head = wrap_node((x + ex, y + ey), L)
     return float(EDGE_COEFF[alpha] @ (field[head] - field[tail]))
 

@@ -149,7 +149,7 @@ def restrict(big: Realization, L: int) -> Realization:
         seed=big.seed,
         sample_id=big.sample_id,
         law=big.law,
-        a=big.a[idx].copy(),
-        h=big.h[idx].copy(),
-        sy=big.sy[idx].copy(),
+        a=big.a[idx],
+        h=big.h[idx],
+        sy=big.sy[idx],
     )

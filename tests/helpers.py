@@ -9,6 +9,11 @@ convert between the two through ``CellStructure.phi_index``.
 The adjoint of ``ps_map`` (``ps_adjoint``) and the difference quotient of
 a stress series against the loading (``numerical_slope``), which no study
 of the library needs.
+
+A Prandtl-Ishlinskii oracle (``prandtl_ishlinskii``) that rebuilds the
+stress along a uniaxial path from the virgin curve alone, through the
+memory sequence of turning points, without the path history of
+``run_path``.
 """
 
 import numpy as np
@@ -61,3 +66,38 @@ def numerical_slope(series, driver) -> np.ndarray:
     if np.any(dF <= 0):
         raise ValueError("the loading component must be strictly increasing")
     return np.diff(series[:, 1]) / dF
+
+
+def prandtl_ishlinskii(virgin, F):
+    """The stress of a Prandtl-Ishlinskii operator along the inputs F, from its virgin curve.
+
+    ``virgin(x)`` is the stress of one increment from zero strain to the
+    input x (an odd function), and F[0] is the first input, reached on the
+    virgin curve.  The virgin curve holds wherever |F| reaches the largest
+    earlier |F|.  A reversal at (F_r, s_r) starts the branch
+    s_r + 2 virgin((F - F_r) / 2) (the Masing rule), and the turning points
+    form a stack.  A branch that reaches the turning point before its own
+    start closes that minor loop, both points leave the stack (wiping-out),
+    and the branch before them continues.  Returns one stress per input.
+    """
+    turns = []  # the turning points (F_r, s_r) of the branches still open
+    largest = 0.0
+    direction = 0.0
+    stresses = []
+    for l, x in enumerate(F):
+        if l > 0 and x != F[l - 1]:
+            step = np.sign(x - F[l - 1])
+            if direction and step != direction:
+                turns.append((F[l - 1], stresses[-1]))
+            direction = step
+        while len(turns) >= 2 and direction * (x - turns[-2][0]) >= 0.0:
+            del turns[-2:]
+        if abs(x) >= largest:
+            turns.clear()
+            largest = abs(x)
+        if turns:
+            F_r, s_r = turns[-1]
+            stresses.append(s_r + 2.0 * virgin((x - F_r) / 2.0))
+        else:
+            stresses.append(virgin(x))
+    return stresses

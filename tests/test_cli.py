@@ -381,6 +381,8 @@ class TestMain:
             ["variance-study", "--L-list="],
             ["cyclic", "--tol-residual", "0"],
             ["cyclic", "--tol-residual", "-1"],
+            ["cyclic", "--T", "0"],
+            ["cyclic", "--T", "-1"],
         ],
     )
     def test_bad_flags_exit_code(self, args, tmp_path, capsys):
@@ -405,6 +407,7 @@ class TestMain:
             {"var_window": [6, 10, 14]},
             {"tol_increment": 1e-10},
             {"threads": 0},
+            {"path": [[0.0, 0.0, 0.0], [1.0, 1e-3, 0.0]]},
         ],
     )
     def test_bad_config_value_type_exit_code(self, values, tmp_path, capsys):
@@ -426,6 +429,15 @@ class TestMain:
         assert main([experiment, "--config", str(cfg), "--M", "1", "--N", "1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "L_list" in err
+
+    @pytest.mark.parametrize("text", [None, "{"], ids=["missing", "invalid-json"])
+    def test_unreadable_config_file_exit_code(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["cyclic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cannot read config file" in err
 
     @pytest.mark.parametrize("text", ["123", '[["L", 4]]'], ids=["number", "list"])
     def test_config_file_not_an_object_exit_code(self, text, tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import hypothesis
 import numpy as np
 import pytest
+from helpers import prandtl_ishlinskii
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -74,6 +75,10 @@ class TestPaths:
             tensors[2, 1] = bad
             with pytest.raises(ValueError):
                 StrainPath(np.array([0.0, 1.0, 2.0]), tensors)
+
+    def test_tensors_need_three_components(self):
+        with pytest.raises(ValueError, match=r"tensors \(N\+1, 3\)"):
+            StrainPath(np.array([0.0, 1.0, 2.0]), np.zeros((3, 2)))
 
 
 class TestStressVector:
@@ -489,6 +494,33 @@ class TestPrandtlIshlinskii:
             assert np.abs(loop[3 * n] - loop[n]).max() <= 1e-12 * scale
             for s, s_direct in zip(loop[3 * n + 1 :], direct[n + 1 :], strict=True):
                 assert np.abs(s - s_direct).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L, seed", CELLS)
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            [3e-3, 1e-3, 2.5e-3, -2e-3, 3.4e-3],
+            [2e-3, -3e-3, 1e-3, -1e-3, 3.4e-3],
+            [-1e-3, 2.5e-3, -2.5e-3, 2e-3, 0.5e-3, 1.5e-3],
+        ],
+        ids=["inner-loop", "virgin-regained", "minor-loops"],
+    )
+    def test_memory_sequence_oracle(self, L, seed, corners):
+        # the stress along the whole path equals that of the Prandtl-Ishlinskii
+        # oracle, built from one-increment evaluations of the virgin curve alone
+        real = sample(LAW, seed, 1, L)
+
+        def virgin(x):
+            return run_path(real, f11_path([x]))[-1][1].s
+
+        for n in (1, 5):  # steps per leg
+            ends = [0.0, *corners]
+            F = [0.0] + [x for a, b in zip(ends, ends[1:]) for x in np.linspace(a, b, n + 1)[1:]]
+            stresses = [rec.s for _, rec in run_path(real, f11_path(F[1:]))]
+            oracle = prandtl_ishlinskii(virgin, F)
+            scale = max(np.abs(s).max() for s in stresses)
+            for s, s_oracle in zip(stresses, oracle, strict=True):
+                assert np.abs(s - s_oracle).max() <= 1e-12 * scale
 
 
 @st.composite

@@ -6,6 +6,7 @@ from helpers import edge_strains, ps_adjoint
 from hypothesis import given, strategies as st
 
 from rveplast.lattice import (
+    EDGE_COEFF,
     EDGE_TYPES,
     K,
     SymTensor2,
@@ -18,18 +19,24 @@ from rveplast.lattice import (
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
+def unit(direction):
+    """The unit vector of an edge direction."""
+    return np.asarray(direction, dtype=float) / np.hypot(*direction)
+
+
 class TestEdgeTypes:
     def test_generating_directions(self):
-        assert [et.direction for et in EDGE_TYPES] == [(1, 0), (0, 1), (1, 1)]
-        assert EDGE_TYPES[2].direction == tuple(
-            np.add(EDGE_TYPES[0].direction, EDGE_TYPES[1].direction)
-        )
+        assert EDGE_TYPES == ((1, 0), (0, 1), (1, 1))
+        assert EDGE_TYPES[2] == tuple(np.add(EDGE_TYPES[0], EDGE_TYPES[1]))
 
     def test_unit_vectors(self):
-        for et in EDGE_TYPES:
-            assert np.linalg.norm(et.unit) == pytest.approx(1.0, abs=1e-15)
-        assert EDGE_TYPES[0].length == 1.0
-        assert EDGE_TYPES[2].length == pytest.approx(np.sqrt(2.0))
+        # EDGE_COEFF[alpha] = unit(alpha) / length(alpha) to round-off; the weights themselves are exact
+        for alpha, direction in enumerate(EDGE_TYPES):
+            assert np.linalg.norm(unit(direction)) == pytest.approx(1.0, abs=1e-15)
+            assert EDGE_COEFF[alpha] == pytest.approx(unit(direction) / np.hypot(*direction), abs=1e-16)
+        assert np.hypot(*EDGE_TYPES[0]) == 1.0
+        assert np.hypot(*EDGE_TYPES[2]) == pytest.approx(np.sqrt(2.0))
+        assert np.array_equal(EDGE_COEFF, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
 
 class TestIndexing:
@@ -42,6 +49,10 @@ class TestIndexing:
         with pytest.raises(ValueError):
             wrap_node((0, 0), 0)
 
+    def test_edge_heads_rejects_bad_side(self):
+        with pytest.raises(ValueError, match="lattice side must be >= 1"):
+            edge_heads(0)
+
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_bijections(self, L):
         nodes = {wrap_node((x, y), L) for x in range(L) for y in range(L)}
@@ -52,8 +63,7 @@ class TestIndexing:
         heads = edge_heads(L)
         for node in range(L**2):
             x, y = node % L, node // L
-            for alpha, et in enumerate(EDGE_TYPES):
-                ex, ey = et.direction
+            for alpha, (ex, ey) in enumerate(EDGE_TYPES):
                 assert heads[alpha, node] == wrap_node((x + ex, y + ey), L)
 
 
@@ -104,7 +114,7 @@ class TestProjectedEdgeDerivative:
 def direct_ps(F):
     """Definition-level oracle: longitudinal components unit . F unit."""
     F = np.asarray(F, dtype=float)
-    return np.array([et.unit @ F @ et.unit for et in EDGE_TYPES])
+    return np.array([unit(e) @ F @ unit(e) for e in EDGE_TYPES])
 
 
 class TestPsMaps:

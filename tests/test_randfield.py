@@ -140,6 +140,18 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(big, 7)
 
+    def test_zero_side_rejected(self):
+        big = sample(LAW, SEED, 2, 6)
+        with pytest.raises(ValueError, match="lattice side must be >= 1"):
+            restrict(big, 0)
+
+    def test_restriction_shares_no_memory(self):
+        big = sample(LAW, SEED, 2, 10)
+        for L in (2, 6, 9):
+            cut = restrict(big, L)
+            for name in ("a", "h", "sy"):
+                assert not np.shares_memory(getattr(cut, name), getattr(big, name))
+
 
 class TestStatisticalQuality:
     def test_independence_proxy(self):
