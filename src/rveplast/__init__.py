@@ -29,7 +29,6 @@ from .driver import (
 from .lattice import (
     EDGE_TYPES,
     SymTensor2,
-    projected_edge_derivative,
     ps_map,
     wrap_node,
 )

@@ -88,6 +88,14 @@ class RunConfig:
         return SolverSettings(tol_residual=self.tol_residual, max_outer=self.max_outer)
 
     def validate(self) -> None:
+        """Raise ConfigError on a config that no experiment can run.
+
+        The bounds on L, L_max, M, threads and seed are checked here, because
+        nothing in the library checks them before a study starts.  The strain
+        path's rules (at least one time step, strictly increasing times)
+        belong to ``StrainPath`` and its constructors; ``validate`` builds
+        the path to apply them.
+        """
         for name, hint in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not _has_type(value, hint):
@@ -97,13 +105,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("N", 1), ("threads", 1)):
+        for key, low in (("L", 2), ("L_max", 2), ("M", 1), ("threads", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
         windows = {"sys_window": DEFAULT_SYS_WINDOW, "var_window": DEFAULT_VAR_WINDOW}
         for key in windows:
             window = getattr(self, key)
@@ -130,6 +136,7 @@ class RunConfig:
         self.solver_settings()
         if self.experiment == "custom-path" and not self.path:
             raise ConfigError("custom-path needs 'path' rows [t, F11, F12, F22] in the config")
+        _make_path(self)
 
 
 # the type of each RunConfig field, resolved once per process

@@ -132,9 +132,15 @@ def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
 
 
 def plastic_fraction(state: RveState) -> np.ndarray:
-    """Share of edges per type with nonzero plastic strain (exact nonzero)."""
-    npt = state.p.size // K
-    return np.count_nonzero(state.p.reshape(K, npt), axis=1) / npt
+    """Share of edges per type with nonzero plastic strain (exact nonzero).
+
+    ``state.p`` has shape (n,), n = K * L**2, and the result shape (K,); a
+    stack of states with p of shape (S, n) gives shape (S, K), row j bitwise
+    the fractions of state j.
+    """
+    p = state.p
+    npt = p.shape[-1] // K
+    return np.count_nonzero(p.reshape(*p.shape[:-1], K, npt), axis=-1) / npt
 
 
 def _secant_coefficients(tensors: np.ndarray) -> np.ndarray:
@@ -166,10 +172,11 @@ def run_path(
     each starts at the secant predictor.  ps_map F of every step and the
     predictor's coefficients depend on the path alone and are formed once.
     Each step solves into its row of the path's flat states; stresses and
-    plastic fractions are formed for all steps at once, after the last.
+    plastic fractions (``plastic_fraction`` of the stacked states) are formed
+    for all steps at once, after the last.
     """
     cell = cell_structure(real.L)
-    n, npt = cell.n, real.L**2
+    n = cell.n
     A = assemble_operator(real)
     B = assemble_load(real)
     a_sums = real.by_type("a").sum(axis=1)
@@ -200,7 +207,7 @@ def run_path(
         energies.append(report.energy)
     stresses = cell.mapped_stress(B, a_sums, states, ps_strains)
     p, phi = states[:, :n], states[:, n:]
-    fractions = np.count_nonzero(p.reshape(-1, K, npt), axis=2) / npt
+    fractions = plastic_fraction(RveState(p, phi))
     tensors = [SymTensor2(*row) for row in path.tensors.tolist()]
     return [
         (RveState(p_l, phi_l), StressRecord(F, s, fr, energy))

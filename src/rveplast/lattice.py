@@ -32,10 +32,6 @@ class SymTensor2:
     a12: float
     a22: float
 
-    @classmethod
-    def zero(cls) -> "SymTensor2":
-        return cls(0.0, 0.0, 0.0)
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
@@ -54,23 +50,6 @@ def wrap_node(xy, L: int) -> int:
         raise ValueError(f"lattice side must be >= 1, got {L}")
     x, y = xy
     return (int(y) % L) * L + (int(x) % L)
-
-
-def projected_edge_derivative(field, edge, L: int) -> float:
-    """Longitudinal strain of one edge of a node-wise displacement field.
-
-    ``field`` holds one 2-vector per node (shape (L*L, 2)), ``edge`` is the
-    pair (tail node index, type index alpha in {0,1,2}).  Returns
-    unit(alpha) . (field[head] - field[tail]) / |e_alpha| with the head
-    taken periodically.  Vanishes on constant fields and equals
-    unit . F unit for the linear field x -> F x.
-    """
-    field = np.asarray(field, dtype=float)
-    tail, alpha = edge
-    x, y = tail % L, tail // L
-    ex, ey = EDGE_TYPES[alpha]
-    head = wrap_node((x + ex, y + ey), L)
-    return float(EDGE_COEFF[alpha] @ (field[head] - field[tail]))
 
 
 def ps_map(F) -> np.ndarray:

@@ -6,7 +6,8 @@ stores a state's displacements only as the m free components in DOF order
 one 2-vector per node, shape (L**2, 2); ``node_major`` and ``dof_order``
 convert between the two through ``CellStructure.phi_index``.
 
-The adjoint of ``ps_map`` (``ps_adjoint``) and the difference quotient of
+The scalar edge-by-edge oracle ``projected_edge_derivative``, the
+adjoint of ``ps_map`` (``ps_adjoint``) and the difference quotient of
 a stress series against the loading (``numerical_slope``), which no study
 of the library needs.
 
@@ -18,7 +19,7 @@ memory sequence of turning points, without the path history of
 
 import numpy as np
 
-from rveplast.lattice import EDGE_COEFF, K, SymTensor2, edge_heads
+from rveplast.lattice import EDGE_COEFF, EDGE_TYPES, K, SymTensor2, edge_heads, wrap_node
 
 
 def node_major(cell, phi):
@@ -31,6 +32,23 @@ def node_major(cell, phi):
 def dof_order(cell, field):
     """The free components of a node-major (L**2, 2) field, in DOF order."""
     return np.asarray(field, dtype=float).reshape(-1)[cell.phi_index]
+
+
+def projected_edge_derivative(field, edge, L: int) -> float:
+    """Longitudinal strain of one edge of a node-wise displacement field.
+
+    ``field`` holds one 2-vector per node (shape (L*L, 2)), ``edge`` is the
+    pair (tail node index, type index alpha in {0,1,2}).  Returns
+    unit(alpha) . (field[head] - field[tail]) / |e_alpha| with the head
+    taken periodically.  Vanishes on constant fields and equals
+    unit . F unit for the linear field x -> F x.
+    """
+    field = np.asarray(field, dtype=float)
+    tail, alpha = edge
+    x, y = tail % L, tail // L
+    ex, ey = EDGE_TYPES[alpha]
+    head = wrap_node((x + ex, y + ey), L)
+    return float(EDGE_COEFF[alpha] @ (field[head] - field[tail]))
 
 
 def edge_strains(field, L):

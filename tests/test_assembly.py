@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from helpers import dof_order, edge_strains, node_major
+from helpers import dof_order, edge_strains, node_major, projected_edge_derivative
 
 import rveplast.assembly
 from rveplast.assembly import (
@@ -20,7 +20,7 @@ from rveplast.assembly import (
     increment_energy,
 )
 from rveplast.driver import stress_vector
-from rveplast.lattice import K, SymTensor2, projected_edge_derivative, ps_map
+from rveplast.lattice import K, SymTensor2, ps_map
 from rveplast.randfield import MaterialLaw, sample
 from rveplast.solver import (
     _PCG_MIN_DOFS,
@@ -92,7 +92,7 @@ class TestClamping:
         cell = cell_structure(4)
         rng = np.random.default_rng(0)
         state = random_state(cell, rng)
-        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2.zero())
+        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2(0.0, 0.0, 0.0))
         assert np.array_equal(prob.as_vector(state), flat(state))
         field = node_major(cell, state.phi)
         assert field.shape == (16, 2) and not field[cell.clamped_nodes].any()
@@ -104,7 +104,7 @@ class TestClamping:
         # a state holds n plastic strains and the m free displacements; a
         # node-major phi of the (L**2, 2) field fails loudly
         cell = cell_structure(4)
-        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2.zero())
+        prob = build_increment(sample(LAW, 1, 1, 4), SymTensor2(0.0, 0.0, 0.0))
         state = random_state(cell, np.random.default_rng(1))
         bad = [
             RveState(state.p, node_major(cell, state.phi)),
@@ -189,7 +189,7 @@ class TestLoad:
 
     def test_zero_strain_zero_load(self):
         real = sample(LAW, 6, 1, 4)
-        assert np.all(assemble_load(real) @ ps_map(SymTensor2.zero()) == 0.0)
+        assert np.all(assemble_load(real) @ ps_map(SymTensor2(0.0, 0.0, 0.0)) == 0.0)
 
     def test_homogeneous_displacement_block_vanishes(self):
         # constant edge forces telescope to zero around every node
@@ -321,7 +321,7 @@ class TestCellStructure:
         A = assemble_operator(real)
         prob = build_increment(real, SymTensor2(1.2e-3, -0.9e-3, 0.4e-3), A=A)
         assert prob.A is A and np.all(prob.p_prev == 0.0)
-        second = build_increment(real, SymTensor2.zero())
+        second = build_increment(real, SymTensor2(0.0, 0.0, 0.0))
         assert second.cell is prob.cell and second.schur_factor is not prob.schur_factor
 
     @pytest.mark.parametrize("p_prev", [1e-4, np.full(1, 1e-4), np.zeros(5)], ids=["scalar", "(1,)", "(5,)"])
@@ -336,8 +336,8 @@ class TestCellStructure:
         # worker threads share the structure: it is made once per L and
         # nobody may write to it
         cell_structure.cache_clear()
-        first = build_increment(sample(LAW, 61, 1, 5), SymTensor2.zero()).cell
-        second = build_increment(sample(LAW, 61, 2, 5), SymTensor2.zero()).cell
+        first = build_increment(sample(LAW, 61, 1, 5), SymTensor2(0.0, 0.0, 0.0)).cell
+        second = build_increment(sample(LAW, 61, 2, 5), SymTensor2(0.0, 0.0, 0.0)).cell
         assert second is first and cell_structure.cache_info().misses == 1
         arrays = [first.clamped_nodes, first.free, first.phi_index, first.band_index]
         arrays += [first.A_indices, first.A_indptr]
@@ -550,7 +550,7 @@ class TestSchurFactor:
 class TestIncrementEnergy:
     def test_zero(self):
         real = sample(LAW, 10, 1, 3)
-        prob = build_increment(real, SymTensor2.zero())
+        prob = build_increment(real, SymTensor2(0.0, 0.0, 0.0))
         assert increment_energy(prob, RveState.zero(3)) == 0.0
 
     def test_elastic_limit_minimizer_solves_linear_system(self):
@@ -589,4 +589,4 @@ class TestIncrementEnergy:
     def test_rejects_tiny_cells(self):
         real = sample(LAW, 12, 1, 1)
         with pytest.raises(ValueError):
-            build_increment(real, SymTensor2.zero())
+            build_increment(real, SymTensor2(0.0, 0.0, 0.0))

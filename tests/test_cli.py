@@ -78,9 +78,18 @@ class TestParseConfig:
         config = parse_config(["cyclic", "--L", "7", "--M", "2", "--seed", "99"])
         assert (config.L, config.M, config.seed) == (7, 2, 99)
 
-    def test_invalid_size_rejected(self):
+    def test_invalid_size_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(["cyclic", "--L", "0"])
+        # the path's rules live in the path constructors and StrainPath alone
+        for args in (["cyclic", "--N", "0"], ["monotonic", "--N", "0"], ["cyclic", "--T", "0"]):
+            with pytest.raises(ConfigError, match="bad strain path"):
+                parse_config(args)
+        # custom-path ignores N and T
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"path": [[0, 0, 0, 0], [1, 0.001, 0, 0]]}))
+        config = parse_config(["custom-path", "--config", str(cfg), "--N", "0", "--T", "0"])
+        assert (config.N, config.T) == (0, 0)
 
     def test_file_then_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -84,7 +84,7 @@ class TestPaths:
 class TestStressVector:
     def test_zero_everything(self):
         real = sample(LAW, 1, 1, 4)
-        s = stress_vector(real, RveState.zero(4), SymTensor2.zero())
+        s = stress_vector(real, RveState.zero(4), SymTensor2(0.0, 0.0, 0.0))
         assert np.all(s == 0.0)
 
     def test_homogeneous_elastic(self):
@@ -281,6 +281,11 @@ class TestRunPath:
             assert np.abs(rec.s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
             assert np.array_equal(rec.fractions, plastic_fraction(state))
         assert records[-1][1].fractions[0] > 0.0
+        # a stack of states, p of shape (N+1, n), gives the fractions state by state, bitwise
+        P, Phi = (np.array([getattr(state, key) for state, _ in records]) for key in ("p", "phi"))
+        stacked = plastic_fraction(RveState(P, Phi))
+        assert stacked.shape == (len(records), 3)
+        assert np.array_equal(stacked, [plastic_fraction(state) for state, _ in records])
 
     @pytest.mark.parametrize(
         "make_path", [monotonic_path, cyclic_path], ids=["monotonic", "cyclic"]

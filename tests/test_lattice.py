@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import edge_strains, ps_adjoint
+from helpers import edge_strains, projected_edge_derivative, ps_adjoint
 from hypothesis import given, strategies as st
 
 from rveplast.lattice import (
@@ -11,7 +11,6 @@ from rveplast.lattice import (
     K,
     SymTensor2,
     edge_heads,
-    projected_edge_derivative,
     ps_map,
     wrap_node,
 )

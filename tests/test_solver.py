@@ -511,7 +511,7 @@ class TestPreconditionedSolve:
 class TestSolveIncrement:
     def test_zero_problem_returns_zero(self):
         real = sample(LAW, 60, 1, 3)
-        prob = build_increment(real, SymTensor2.zero())
+        prob = build_increment(real, SymTensor2(0.0, 0.0, 0.0))
         y, report = solve_increment(prob)
         assert np.all(y == 0.0)
         assert report.converged and report.energy == 0.0
