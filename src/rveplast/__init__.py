@@ -19,7 +19,6 @@ from .assembly import (
 from .driver import (
     PathError,
     StrainPath,
-    StressRecord,
     cyclic_path,
     monotonic_path,
     plastic_fraction,
@@ -35,16 +34,13 @@ from .lattice import (
 from .randfield import ConfigError, MaterialLaw, Realization, restrict, sample
 from .reference import SpringParams, brute_force_increment, return_map, spring_trajectory
 from .solver import (
-    SolveReport,
     SolverError,
     SolverSettings,
     optimality_residual,
     solve_increment,
 )
 from .stats import (
-    ErrorTable,
     McEnsemble,
-    SlopeFit,
     loglog_slope,
     monte_carlo,
     systematic_error_study,

@@ -87,14 +87,16 @@ class RunConfig:
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(tol_residual=self.tol_residual, max_outer=self.max_outer)
 
-    def validate(self) -> None:
-        """Raise ConfigError on a config that no experiment can run.
+    def validate(self) -> tuple[MaterialLaw, SolverSettings, StrainPath]:
+        """Check the config; return the material law, solver settings and strain path it gives.
 
-        The bounds on L, L_max, M, threads and seed are checked here, because
-        nothing in the library checks them before a study starts.  The strain
-        path's rules (at least one time step, strictly increasing times)
-        belong to ``StrainPath`` and its constructors; ``validate`` builds
-        the path to apply them.
+        Raises ConfigError on a config that no experiment can run.  The
+        bounds on L, L_max, M, threads and seed are checked here, because
+        nothing in the library checks them before a study starts.  The rules
+        of the law's intervals, the solver settings and the strain path (at
+        least one time step, strictly increasing times) belong to their own
+        classes and the path constructors; ``validate`` applies them by
+        building the three, which ``run`` then uses.
         """
         for name, hint in _FIELD_TYPES.items():
             value = getattr(self, name)
@@ -132,11 +134,11 @@ class RunConfig:
                             f"{key} [{lo}, {hi}] must hold at least two cell sizes of {sorted(set(Ls))} "
                             f"other than the reference size {L_max}"
                         )
-        self.law()  # validates the intervals
-        self.solver_settings()
+        law = self.law()
+        settings = self.solver_settings()
         if self.experiment == "custom-path" and not self.path:
             raise ConfigError("custom-path needs 'path' rows [t, F11, F12, F22] in the config")
-        _make_path(self)
+        return law, settings, _make_path(self)
 
 
 # the type of each RunConfig field, resolved once per process
@@ -333,11 +335,8 @@ def _make_path(config: RunConfig) -> StrainPath:
 
 def run(config: RunConfig) -> int:
     """Execute the configured study and write its CSV files into ``out``, made before the study runs."""
-    config.validate()
+    law, settings, path = config.validate()
     out_dir = Path(config.out)
-    law = config.law()
-    settings = config.solver_settings()
-    path = _make_path(config)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:

@@ -72,10 +72,6 @@ class Realization:
     h: np.ndarray = field(repr=False)
     sy: np.ndarray = field(repr=False)
 
-    @property
-    def num_edges(self) -> int:
-        return K * self.L**2
-
     def by_type(self, name: str) -> np.ndarray:
         """View of parameter ``name`` with shape (K, L*L)."""
         return getattr(self, name).reshape(K, self.L**2)

@@ -58,13 +58,17 @@ def spring_trajectory(params: SpringParams, strains) -> tuple[np.ndarray, np.nda
     return p, stress
 
 
-def estimate_operator_norm(A, iterations: int = 200, seed: int = 0) -> float:
+_POWER_ITERATIONS = 200
+_POWER_SEED = 0
+
+
+def estimate_operator_norm(A) -> float:
     """Power-iteration estimate of the spectral norm of a symmetric matrix."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_ITERATIONS):
         w = A @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:

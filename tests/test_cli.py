@@ -328,6 +328,30 @@ class TestRun:
         assert {row["L"] for row in rows} == {"3"}
         assert all(float(row["e_sys"]) == float(row["reference_scaling"]) == 0.0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cyclic", "--L", "3"],
+            ["monotonic", "--L", "3"],
+            ["error-study", "--L-list", "4,6", "--Lmax", "8", "--sys-window", "4,6", "--var-window", "4,6"],
+        ],
+        ids=["cyclic", "monotonic", "error-study"],
+    )
+    def test_run_builds_the_path_once(self, args, tmp_path, monkeypatch):
+        # run takes the law, the settings and the path from its one validate call
+        calls = []
+        make_path = rveplast.cli._make_path
+
+        def counted(config):
+            calls.append(config)
+            return make_path(config)
+
+        monkeypatch.setattr(rveplast.cli, "_make_path", counted)
+        config = parse_config(args + ["--M", "2", "--N", "2", "--out", str(tmp_path)])
+        assert len(calls) == 1
+        assert run(config) == 0
+        assert len(calls) == 2
+
     def test_custom_path_from_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         rows = [[0.0, 0.0, 0.0, 0.0], [0.5, 1e-3, 0.0, 0.0], [1.0, 2e-3, 1e-4, 0.0]]

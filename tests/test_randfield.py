@@ -86,7 +86,7 @@ class TestSample:
     def test_empirical_mean(self):
         # uniform-distribution moments: mean (lo+hi)/2, sd (hi-lo)/sqrt(12)
         real = sample(LAW, SEED, 1, 42)
-        n = real.num_edges
+        n = real.a.size
         lo, hi = LAW.a
         stderr = (hi - lo) / np.sqrt(12.0 * n)
         assert abs(real.a.mean() - 0.5 * (lo + hi)) < 3.0 * stderr
@@ -169,4 +169,4 @@ class TestStatisticalQuality:
         unit = (real.a - lo) / (hi - lo)
         stat = kstest(unit, "uniform").statistic
         # asymptotic 1% critical value of the one-sample KS statistic
-        assert stat < 1.628 / np.sqrt(real.num_edges)
+        assert stat < 1.628 / np.sqrt(real.a.size)

@@ -610,6 +610,25 @@ class TestSolveIncrement:
         start = np.concatenate([_return_map(prob, phi0, _increment_terms(prob)), phi0])
         assert report.residual == optimality_residual(prob, start)  # the point is kept
 
+    def test_nan_reaches_the_certificate(self):
+        # the certificate's max propagates a NaN, which a max-abs shortcut
+        # such as BLAS idamax would skip for the largest finite entry
+        prob, state = increment_on_path(4)
+        y, _ = solve_increment(prob, warm_start=state.phi)
+        for index in (0, prob.cell.n):  # one plastic strain, then one displacement
+            bad = y.copy()
+            bad[index] = np.nan
+            assert np.isnan(optimality_residual(prob, bad))
+
+    @pytest.mark.parametrize("L", [4, 18])
+    def test_nan_warm_start_raises(self, L):
+        # both sides of _PCG_MIN_DOFS: L=4 factors every new flowing set, L=18 keeps one factor per path
+        prob, state = increment_on_path(L)
+        warm = state.phi.copy()
+        warm[0] = np.nan
+        with pytest.raises(SolverError):
+            solve_increment(prob, warm_start=warm)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(tol_residual=0.0)
