@@ -151,8 +151,8 @@ class CellStructure:
     entries per edge, the lower triangle of a 4 x 4 outer product).  S(k)
     is only ever factored: ``band_index`` scatters P k into LAPACK's lower
     band storage of S, one slot per row of P, and a product with S(k) is
-    G.T (k G x).  The arrays are read-only, because realizations on several
-    threads share one structure.
+    G.T (k G x).  The arrays are read-only, because ``cell_structure``
+    caches one structure per L that every realization of that size shares.
     """
 
     def __init__(self, L: int, clamped: bool = True):
@@ -302,8 +302,8 @@ class IncrementProblem:
     eliminated ("last"), and the solver's terms of a, h and r ("edges").
     The increments of one path share it: the factor solves directly while
     the flowing set repeats and preconditions CG on other flowing sets, and
-    the terms are formed once; it is never shared between threads.  A
-    problem made by ``build_increment`` starts with an empty one.
+    the terms are formed once.  A problem made by ``build_increment``
+    starts with an empty one.
     """
 
     A: sp.csr_matrix = field(repr=False)

@@ -3,8 +3,8 @@
 Configuration lives in a flat JSON document; command-line flags mirror the
 keys one-to-one and override file values.  Every study writes CSV files
 with deterministic row order and 17-significant-digit floats, so reruns
-with the same configuration are bitwise identical regardless of the
-worker-thread count.
+with the same configuration are bitwise identical, on one BLAS thread
+regardless of the worker-process count (``rveplast.stats`` says why).
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ _FLAG_HELP = {
     "T": "final time",
     "seed": "master seed",
     "out": "output directory",
-    "threads": "worker threads",
+    "threads": "worker processes",
 }
 
 

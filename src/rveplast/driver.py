@@ -116,6 +116,9 @@ class PathError(RuntimeError):
         self.step = step
         self.cause = cause
 
+    def __reduce__(self):  # pickle the step and cause too, so the error crosses from a worker process
+        return type(self), (str(self), self.step, self.cause)
+
 
 def stress_vector(real: Realization, state: RveState, F) -> np.ndarray:
     """Per-type average of a * (elastic strain): the stress operator output.

@@ -100,7 +100,7 @@ _STEPS = [0.5**k for k in range(54)]
 # CG replaces a new factor of S from this many displacement DOFs on (L >= 16);
 # on smaller cells a band factor of S costs less than CG's ten or so
 # iterations.  Median times of ``run_path`` on samples 1-3 (seed 20240, 15
-# alternating rounds, one worker thread), a factor of every flowing set
+# alternating rounds, in one process), a factor of every flowing set
 # against CG, cyclic and monotonic, in ms [rounds of 15 CG was faster in].
 # OpenBLAS's default threads (two on a 2-core host): L=14 83.3/99.9 and
 # 99.9/111.3 [2, 0]; L=15 127.3/125.7 and 109.0/105.8 [9, 11]; L=16
@@ -170,6 +170,9 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):  # pickle the report too, so the error crosses from a worker process
+        return type(self), (str(self), self.report)
 
 
 class _Point(NamedTuple):
@@ -358,7 +361,8 @@ def _certificate(prob: IncrementProblem, y: _Point) -> float:
     """
     n = prob.cell.n
     viol_p = np.abs(y.g[:n] + prob.r * y.side) - prob.r * (y.side == 0.0)
-    return float(max(viol_p.max(initial=0.0), np.abs(y.g[n:]).max(initial=0.0)))
+    # np.maximum keeps a NaN of either part; Python's max drops one in its second argument
+    return float(np.maximum(viol_p.max(initial=0.0), np.abs(y.g[n:]).max(initial=0.0)))
 
 
 def optimality_residual(prob: IncrementProblem, y) -> float:

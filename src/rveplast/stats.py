@@ -1,15 +1,19 @@
 """Monte-Carlo averaging of stress trajectories and error-scaling studies.
 
-Sample runs are embarrassingly parallel; reductions always happen in
-ascending sample-id order, so results are bitwise independent of the
-worker count.  The error study follows the nested-restriction procedure:
-it samples each sample id 1..M once on the largest box and cuts every
-smaller cell from that realization with ``restrict``.
+A study is one job per sample id: the job samples its id once on the
+study's box (L_max for the nested-restriction error study), cuts every
+cell size from it with ``restrict`` and runs the path on each cut.
+``threads`` worker processes run the jobs, each on one BLAS thread, and
+the reduction takes them in ascending sample-id order.  On one BLAS thread
+results are bitwise independent of the worker count; a caller on
+OpenBLAS's default threads factors cells with L >= 38 differently in the
+last bits, so there one worker, the caller itself, and several can differ.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +21,10 @@ import numpy as np
 from .driver import StrainPath, run_path
 from .randfield import MaterialLaw, Realization, restrict, sample
 from .solver import SolverSettings
+
+# one BLAS thread per worker process, which a spawned interpreter takes from
+# its environment; a forked one would inherit the caller's BLAS threads
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True)
@@ -53,34 +61,62 @@ def _run_one(real: Realization, path: StrainPath, settings: SolverSettings | Non
     )
 
 
-def _ensemble(
-    reals: list[Realization], path: StrainPath, settings: SolverSettings | None, threads: int
-) -> McEnsemble:
-    """Run the path on every realization of one cell size and average the stress trajectories."""
-    if not reals:
+def _run_sample(law, seed, sample_id, box, Ls, path, settings):
+    """One job: sample the id once on the box, cut each L from it and run the path on every cut."""
+    big = sample(law, seed, sample_id, box)
+    return [_run_one(restrict(big, L), path, settings) for L in Ls]
+
+
+@contextmanager
+def _worker_env():
+    """``os.environ`` holds ``_WORKER_ENV`` inside the block, the caller's values after it."""
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
+
+
+def _study(law, seed, M, box, Ls, path, settings, threads) -> dict[int, McEnsemble]:
+    """Run the jobs of sample ids 1..M and reduce them to one ensemble per L of ``Ls``."""
+    if M < 1:
         raise ValueError("need at least one sample")
     if threads < 1:
-        raise ValueError(f"need at least one worker thread, got threads={threads}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_one(r, path, settings), reals))
+        raise ValueError(f"need at least one worker, got threads={threads}")
+    jobs = [(law, seed, i, box, Ls, path, settings) for i in range(1, M + 1)]
+    workers = min(threads, M, os.cpu_count() or 1)
+    if workers == 1:
+        results = [_run_sample(*job) for job in jobs]
     else:
-        results = [_run_one(r, path, settings) for r in reals]
-    stresses, fractions, energies, residuals, residuals_rel, monotone = zip(*results)
-    stresses = np.array(stresses)
-    return McEnsemble(
-        L=reals[0].L,
-        M=len(reals),
-        times=path.times.copy(),
-        f11=path.tensors[:, 0].copy(),
-        stresses=stresses,
-        fractions=np.array(fractions),
-        energies=np.array(energies),
-        mean=stresses.mean(axis=0),
-        max_residual=max(residuals),
-        max_residual_rel=max(residuals_rel),
-        energy_monotone=all(monotone),
-    )
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with _worker_env(), ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = list(pool.map(_run_sample, *zip(*jobs)))
+    ensembles = {}
+    for j, L in enumerate(Ls):
+        stresses, fractions, energies, residuals, residuals_rel, monotone = zip(*(r[j] for r in results))
+        stresses = np.array(stresses)
+        ensembles[L] = McEnsemble(
+            L=L,
+            M=M,
+            times=path.times.copy(),
+            f11=path.tensors[:, 0].copy(),
+            stresses=stresses,
+            fractions=np.array(fractions),
+            energies=np.array(energies),
+            mean=stresses.mean(axis=0),
+            max_residual=max(residuals),
+            max_residual_rel=max(residuals_rel),
+            energy_monotone=all(monotone),
+        )
+    return ensembles
 
 
 def monte_carlo(
@@ -92,8 +128,8 @@ def monte_carlo(
     settings: SolverSettings | None = None,
     threads: int = 1,
 ) -> McEnsemble:
-    """Run the path for sample ids 1..M and average the stress trajectories."""
-    return _ensemble([sample(law, seed, i, L) for i in range(1, M + 1)], path, settings, threads)
+    """Run the path for sample ids 1..M on ``threads`` workers and average the stress trajectories."""
+    return _study(law, seed, M, L, [L], path, settings, threads)[L]
 
 
 @dataclass(frozen=True)
@@ -191,11 +227,7 @@ def systematic_error_study(
     Ls = sorted(set(int(L) for L in Ls))
     if any(L > L_max for L in Ls):
         raise ValueError(f"every L must be <= L_max={L_max}")
-    bigs = [sample(law, seed, i, L_max) for i in range(1, M + 1)]
-    ens = {
-        L: _ensemble([restrict(big, L) for big in bigs], path, settings, threads)
-        for L in sorted(set(Ls) | {L_max})
-    }
+    ens = _study(law, seed, M, L_max, sorted(set(Ls) | {L_max}), path, settings, threads)
     return ErrorTable(
         Ls=tuple(Ls),
         L_max=int(L_max),

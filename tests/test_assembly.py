@@ -333,8 +333,8 @@ class TestCellStructure:
             build_increment(real, SymTensor2(1e-3, 0.0, 0.0), p_prev=p_prev)
 
     def test_one_read_only_structure_per_cell_size(self):
-        # worker threads share the structure: it is made once per L and
-        # nobody may write to it
+        # every realization of one size shares the cached structure: it is
+        # made once per L and nobody may write to it
         cell_structure.cache_clear()
         first = build_increment(sample(LAW, 61, 1, 5), SymTensor2(0.0, 0.0, 0.0)).cell
         second = build_increment(sample(LAW, 61, 2, 5), SymTensor2(0.0, 0.0, 0.0)).cell

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -382,6 +384,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "sample 1" in err and "step" in err
         assert "L=4" in err and "residual" in err
+
+    def test_solver_failure_is_the_same_on_worker_processes(self, tmp_path):
+        # a worker's PathError reaches the parent pickled; it must print the
+        # serial run's line and exit 1, not end in a traceback
+        args = [sys.executable, "-m", "rveplast.cli", "monotonic", "--L", "6", "--M", "3", "--N", "10"]
+        args += ["--max-outer", "1", "--out", str(tmp_path)]
+        done = {
+            threads: subprocess.run(args + ["--threads", threads], capture_output=True, text=True, timeout=120)
+            for threads in ("1", "2")
+        }
+        for threads, result in done.items():
+            assert result.returncode == 1, (threads, result.stderr)
+            assert result.stderr.startswith("solver failure: L=6 sample 1: solver failed at step 2 ")
+            assert result.stderr.count("\n") == 1, result.stderr
+        assert done["1"].stderr == done["2"].stderr
 
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 """Strain paths, path evolution, stress extraction, plastic fractions."""
 
+import pickle
 from dataclasses import asdict, replace
 
 import hypothesis
@@ -31,7 +32,7 @@ from rveplast.driver import (
 from rveplast.lattice import SymTensor2, ps_map
 from rveplast.randfield import MaterialLaw, restrict, sample
 from rveplast.reference import SpringParams, spring_trajectory
-from rveplast.solver import SolverSettings, optimality_residual, solve_increment
+from rveplast.solver import SolverError, SolverSettings, optimality_residual, solve_increment
 
 LAW = MaterialLaw()
 MID = MaterialLaw.point_mass(1.5e6, 1.625e6, 1.0e3)
@@ -354,6 +355,17 @@ class TestRunPath:
         with pytest.raises(PathError) as excinfo:
             run_path(real, monotonic_path(), settings=SolverSettings(max_outer=1))
         assert excinfo.value.step >= 1
+
+    def test_solver_failure_survives_pickling(self):
+        # a worker process hands its PathError to the parent as a pickle
+        real = sample(LAW, 6, 1, 4)
+        with pytest.raises(PathError) as excinfo:
+            run_path(real, monotonic_path(), settings=SolverSettings(max_outer=1))
+        err = excinfo.value
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is PathError and str(copy) == str(err) and copy.step == err.step
+        assert type(copy.cause) is SolverError and str(copy.cause) == str(err.cause)
+        assert copy.cause.report == err.cause.report and copy.cause.report.iterations == 1
 
     def test_rejects_tiny_cells(self):
         # a cell of side 1 has no increment problem; its load map refuses it

@@ -620,6 +620,15 @@ class TestSolveIncrement:
             bad[index] = np.nan
             assert np.isnan(optimality_residual(prob, bad))
 
+    def test_certificate_keeps_a_nan_of_the_displacement_rows(self):
+        # the plastic rows read 0 at a zero point with g = 0 there, so a NaN
+        # in the displacement rows alone decides the join of the two maxima
+        prob = random_problem(4, seed=86)
+        point = rveplast.solver._point(prob, np.zeros(prob.cell.total))
+        g = np.zeros_like(point.g)
+        g[prob.cell.n] = np.nan
+        assert np.isnan(rveplast.solver._certificate(prob, point._replace(g=g)))
+
     @pytest.mark.parametrize("L", [4, 18])
     def test_nan_warm_start_raises(self, L):
         # both sides of _PCG_MIN_DOFS: L=4 factors every new flowing set, L=18 keeps one factor per path

@@ -1,5 +1,8 @@
 """Monte-Carlo ensembles, variance, error study, slope fits."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from helpers import numerical_slope
@@ -71,6 +74,15 @@ class TestMonteCarlo:
         assert np.array_equal(serial.stresses, threaded.stresses)
         assert np.array_equal(serial.fractions, threaded.fractions)
         assert np.array_equal(serial.energies, threaded.energies)
+
+    def test_import_loads_no_worker_pool(self):
+        # the worker processes' modules load only when a study runs on several
+        # workers, and no study runs on a thread pool
+        code = "import sys, rveplast; print(*sorted(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+        loaded = set(done.stdout.split())
+        assert "rveplast.stats" in loaded
+        assert not loaded & {"multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"}
 
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
